@@ -609,18 +609,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:  # bad --workers, cache dir, ...
         raise SystemExit(str(exc))
 
-    # Warm every available backend before accepting traffic: a
-    # JIT-compiling backend (native) pays its compilation here, once per
-    # service process, never inside a client's (timed, timeout-budgeted)
-    # request.
-    from repro.engine import backend_names, get_backend
+    from repro.engine.registry import warm_backends
 
-    warmed = []
-    for name in sorted({get_backend(n, require=False).name for n in backend_names()}):
-        backend = get_backend(name, require=False)
-        if backend.available():
-            backend.warm()
-            warmed.append(name)
+    warmed = warm_backends()
     print(f"# warmed backends: {', '.join(warmed)}", file=sys.stderr)
 
     async def _run() -> None:

@@ -89,12 +89,12 @@ def smart_initialization_plan(
     trial order are all evaluated in one vectorised pass over the CSR
     arrays (``mu`` values are bitwise identical to the python backend:
     only max/division arithmetic is involved, no reordered sums).  Pass a
-    prebuilt *adjacency* to skip the CSR construction (CSR-capable
-    backends only — the registry enforces that centrally).
+    prebuilt *adjacency* of *gd_plus* to skip the CSR construction
+    (CSR-capable backends only).
     """
-    return resolve_backend(backend).initialization_plan(
-        gd_plus, adjacency=adjacency
-    )
+    solver_backend = resolve_backend(backend)
+    solver_backend.check_adjacency(adjacency)
+    return solver_backend.initialization_plan(gd_plus, adjacency=adjacency)
 
 
 def _smart_initialization_plan_python(gd_plus: Graph) -> InitializationPlan:
@@ -133,11 +133,7 @@ def _smart_initialization_plan_sparse(
 
     from repro.graph.sparse import CSRAdjacency
 
-    adj = (
-        adjacency
-        if adjacency is not None
-        else CSRAdjacency.from_graph(gd_plus)
-    )
+    adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
     n = adj.n
     if n == 0:
         return InitializationPlan(mu={}, order=[], ego_max_weight={}, core_number={})

@@ -592,10 +592,10 @@ class KernelSet:
     """One bound set of kernels (compiled with Numba, or interpreted)
     plus the high-level wrappers the ``native`` backend calls.
 
-    :meth:`coordinate_descent` is a drop-in for
-    :func:`~repro.core.sparse_solvers.coordinate_descent_csr` (the
-    ``cd=`` seam of the sparse orchestration), :meth:`peel` for
-    ``_peel_sparse`` and :meth:`replicator` for ``_replicator_sparse``.
+    The compiled drop-in for
+    :class:`~repro.core.sparse_solvers.SparseKernels`: :meth:`peel`,
+    :meth:`replicator` and :meth:`coordinate_descent` (the ``cd=`` seam
+    of the sparse orchestration).
     """
 
     def __init__(self, jit: bool, kernels: Dict[str, Callable[..., Any]]) -> None:
@@ -669,22 +669,10 @@ class KernelSet:
         self, graph: "Graph", adjacency: Optional["CSRAdjacency"] = None
     ) -> "PeelResult":
         """Algorithm 1 through the compiled heap loop."""
-        from repro.exceptions import InputMismatchError
         from repro.graph.sparse import CSRAdjacency
         from repro.peeling.greedy import PeelResult
 
-        if adjacency is not None:
-            if (
-                adjacency.n != graph.num_vertices
-                or adjacency.num_edges != graph.num_edges
-            ):
-                raise InputMismatchError(
-                    "shared adjacency does not match the peeled graph; "
-                    "it was built from another graph"
-                )
-            adj = adjacency
-        else:
-            adj = CSRAdjacency.from_graph(graph)
+        adj = CSRAdjacency.for_graph(graph, adjacency)
         n = adj.n
         if n == 0:
             # Mirror greedy_peel's guard: an out-of-bounds write would be

@@ -21,6 +21,10 @@ shared :class:`~repro.graph.sparse.CSRAdjacency` instead of dict loops:
   :func:`repro.core.initialization.smart_initialization_plan` with
   ``backend="sparse"``), the CSR matrix is built **once** and shared by
   every initialisation.
+* :data:`SPARSE_KERNELS` — the three hot loops (coordinate descent,
+  peeling, replicator dynamics) as the kernel set of the ``sparse``
+  backend; :class:`repro.core.native_kernels.KernelSet` is its compiled
+  drop-in.
 
 Parity: the backends agree on supports and agree on objectives up to
 floating-point summation order (dict-order sums vs. vectorised dot
@@ -33,14 +37,16 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.affinity.replicator import _replicator_sparse
 from repro.core.coordinate_descent import _best_pair_move
 from repro.core.expansion import PRUNE_EPS
 from repro.core.initialization import InitializationPlan
 from repro.core.seacd import SEACDResult, SEACDStats
-from repro.exceptions import InputMismatchError, VertexNotFound
+from repro.exceptions import VertexNotFound
 from repro.graph.cliques import is_clique
 from repro.graph.graph import Graph, Vertex
 from repro.graph.sparse import CSRAdjacency
+from repro.peeling.greedy import _peel_sparse
 
 
 # ----------------------------------------------------------------------
@@ -51,8 +57,8 @@ from repro.graph.sparse import CSRAdjacency
 DENSE_SUPPORT_LIMIT = 4096
 
 #: The ``cd=`` seam: any drop-in for :func:`coordinate_descent_csr`
-#: (the native backend passes its compiled kernel here, reusing every
-#: orchestration loop in this module unchanged).
+#: (each CSR backend passes its kernel set's, so the native backend
+#: reuses every orchestration loop in this module unchanged).
 CoordinateDescentFn = Callable[
     ..., Tuple[np.ndarray, Optional[np.ndarray], float, int, bool]
 ]
@@ -246,19 +252,15 @@ def seacd_csr(
     tol_scale: float = 1e-2,
     max_expansions: int = 10_000,
     max_cd_iterations: int = 100_000,
-    adjacency: Optional[CSRAdjacency] = None,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ) -> SEACDResult:
     """Algorithm 3 on the CSR backend; mirrors :func:`repro.core.seacd.seacd`.
 
-    Pass a prebuilt *adjacency* to amortise the CSR construction across
-    many initialisations (as :func:`new_sea_csr` does).  *cd* swaps the
-    2-coordinate-descent kernel (defaults to
-    :func:`coordinate_descent_csr`; the native backend passes its
-    compiled drop-in) — the seam through which every orchestration
+    *cd* swaps the 2-coordinate-descent kernel (each CSR backend passes
+    its kernel set's) — the seam through which every orchestration
     layer here is shared across backends.
     """
-    adj = adjacency if adjacency is not None else CSRAdjacency.from_graph(graph)
+    adj = CSRAdjacency.from_graph(graph)
     x = adj.embedding_vector({u: w for u, w in x0.items() if w > 0.0})
     x_vec, objective, converged, stats = _seacd_vec(
         adj, x, tol_scale, max_expansions, max_cd_iterations, cd=cd
@@ -277,10 +279,8 @@ def _seacd_vec(
     tol_scale: float,
     max_expansions: int,
     max_cd_iterations: int,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ) -> Tuple[np.ndarray, float, bool, SEACDStats]:
-    if cd is None:
-        cd = coordinate_descent_csr
     if not (x > 0.0).any():
         raise ValueError("initial embedding has empty support")
     stats = SEACDStats()
@@ -322,14 +322,13 @@ def refine_csr(
     x0: Dict[Vertex, float],
     tol_scale: float = 1e-2,
     max_cd_iterations: int = 100_000,
-    adjacency: Optional[CSRAdjacency] = None,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ) -> Tuple[Dict[Vertex, float], float, int, float]:
     """Algorithm 4 on the CSR backend; mirrors :func:`repro.core.refinement.refine`.
 
     Returns ``(x, objective, merges, initial_objective)``.
     """
-    adj = adjacency if adjacency is not None else CSRAdjacency.from_graph(graph)
+    adj = CSRAdjacency.from_graph(graph)
     x = adj.embedding_vector({u: w for u, w in x0.items() if w > 0.0})
     if not (x > 0.0).any():
         raise ValueError("cannot refine an empty embedding")
@@ -368,10 +367,8 @@ def _refine_vec(
     x: np.ndarray,
     tol_scale: float,
     max_cd_iterations: int,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ) -> Tuple[np.ndarray, float, int, float]:
-    if cd is None:
-        cd = coordinate_descent_csr
     initial_objective = adj.objective(x)
     merges = 0
     while True:
@@ -405,7 +402,7 @@ def _solve_one_vec(
     vertex_index: int,
     tol_scale: float,
     max_expansions: int,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ) -> Tuple[np.ndarray, float, int]:
     """SEACD + Refinement from the indicator of one vertex (by index)."""
     x = np.zeros(adj.n, dtype=np.float64)
@@ -415,39 +412,12 @@ def _solve_one_vec(
     return x, objective, stats.expansion_errors
 
 
-def _check_shared_adjacency(adjacency: CSRAdjacency, gd_plus: Graph) -> None:
-    """Sanity-check a caller-supplied prebuilt adjacency against *gd_plus*.
-
-    The shared-CSR plumbing makes it easy to pass the adjacency of the
-    *wrong* graph — most treacherously the signed ``GD`` instead of its
-    positive part, which has the same vertex set and would silently
-    poison every solve with negative entries.  Cheap vectorised checks
-    (vertex count, edge count, strict positivity) catch the realistic
-    mix-ups without paying a full content comparison.
-    """
-    if adjacency.n != gd_plus.num_vertices:
-        raise InputMismatchError(
-            f"shared adjacency has {adjacency.n} vertices but the graph "
-            f"has {gd_plus.num_vertices}; it was built from another graph"
-        )
-    if adjacency.num_edges != gd_plus.num_edges:
-        raise InputMismatchError(
-            f"shared adjacency has {adjacency.num_edges} edges but the "
-            f"graph has {gd_plus.num_edges}; it was built from another graph"
-        )
-    if adjacency.data.size and not (adjacency.data > 0).all():
-        raise InputMismatchError(
-            "shared adjacency contains nonpositive weights; it was built "
-            "from the signed difference graph, not its positive part"
-        )
-
-
 def csr_vertex_solver(
     gd_plus: Graph,
     tol_scale: float = 1e-2,
     max_expansions: int = 10_000,
     adjacency: Optional[CSRAdjacency] = None,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ):
     """A ``VertexSolver`` closure over one shared CSR adjacency.
 
@@ -455,13 +425,7 @@ def csr_vertex_solver(
     *solver* parameter: the CSR matrix is built once here, not once per
     initialisation.
     """
-    if adjacency is not None:
-        _check_shared_adjacency(adjacency, gd_plus)
-    adj = (
-        adjacency
-        if adjacency is not None
-        else CSRAdjacency.from_graph(gd_plus)
-    )
+    adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
 
     def solve(
         graph: Graph, vertex: Vertex
@@ -486,7 +450,7 @@ def new_sea_csr(
     max_expansions: int = 10_000,
     plan: Optional[InitializationPlan] = None,
     adjacency: Optional[CSRAdjacency] = None,
-    cd: Optional["CoordinateDescentFn"] = None,
+    cd: CoordinateDescentFn = coordinate_descent_csr,
 ):
     """Algorithm 5 on the CSR backend; mirrors :func:`repro.core.newsea.new_sea`.
 
@@ -499,13 +463,7 @@ def new_sea_csr(
     from repro.core.newsea import DCSGAResult
     from repro.core.initialization import smart_initialization_plan
 
-    if adjacency is not None:
-        _check_shared_adjacency(adjacency, gd_plus)
-    adj = (
-        adjacency
-        if adjacency is not None
-        else CSRAdjacency.from_graph(gd_plus)
-    )
+    adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
     if plan is None:
         plan = smart_initialization_plan(
             gd_plus, backend="sparse", adjacency=adj
@@ -546,3 +504,22 @@ def new_sea_csr(
         expansion_errors=errors,
         pruned_at_bound=pruned_at,
     )
+
+
+# ----------------------------------------------------------------------
+# the kernel set of the sparse backend
+# ----------------------------------------------------------------------
+class SparseKernels:
+    """The NumPy hot loops, bundled as the ``sparse`` backend's kernel set.
+
+    :class:`repro.core.native_kernels.KernelSet` has the same three
+    methods, compiled; the backend hands :attr:`coordinate_descent` to
+    the orchestration above through its ``cd=`` seam.
+    """
+
+    coordinate_descent = staticmethod(coordinate_descent_csr)
+    peel = staticmethod(_peel_sparse)
+    replicator = staticmethod(_replicator_sparse)
+
+
+SPARSE_KERNELS = SparseKernels()

@@ -9,13 +9,13 @@ python     heap           the dict-of-dicts reference kernels (ground
                           truth in the test suite; stdlib-only)
 segment_tree               Algorithm 1 peeling over a min segment tree —
                           peel capability only
-sparse                    the vectorised CSR/NumPy kernels of
-                          :mod:`repro.core.sparse_solvers`; available
-                          only when SciPy imports
-native     numba          Numba ``@njit`` kernels over raw CSR arrays
-                          (:mod:`repro.core.native_kernels`) for the hot
-                          loops, sharing the sparse orchestration;
-                          available only when SciPy *and* Numba import
+sparse                    the vectorised CSR/NumPy orchestration of
+                          :mod:`repro.core.sparse_solvers` over the NumPy
+                          kernel set; available only when SciPy imports
+native     numba          the sparse backend class with the Numba
+                          ``@njit`` kernel set of
+                          :mod:`repro.core.native_kernels`; available
+                          only when SciPy *and* Numba import
 ========== ============== =================================================
 
 Every method body is a lazy import of the kernel it wraps — the
@@ -26,18 +26,18 @@ implement).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.engine.registry import SolverBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.affinity.replicator import ReplicatorResult
-    from repro.core.coordinate_descent import CDResult
-    from repro.core.expansion import ExpansionStep
     from repro.core.initialization import InitializationPlan
+    from repro.core.native_kernels import KernelSet
     from repro.core.newsea import DCSGAResult, VertexSolver
     from repro.core.refinement import RefinementResult
     from repro.core.seacd import SEACDResult
+    from repro.core.sparse_solvers import SparseKernels
     from repro.graph.graph import Graph, Vertex
     from repro.graph.sparse import CSRAdjacency
     from repro.peeling.greedy import PeelResult
@@ -55,32 +55,7 @@ class PythonBackend(SolverBackend):
     ) -> "PeelResult":
         from repro.peeling.greedy import _peel_heap
 
-        self.check_adjacency(adjacency)
         return _peel_heap(graph)
-
-    def shrink(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        subset: Iterable["Vertex"],
-        tol: float,
-        max_iterations: int = 100_000,
-    ) -> "CDResult":
-        from repro.core.coordinate_descent import coordinate_descent
-
-        return coordinate_descent(
-            graph, x, subset=subset, tol=tol, max_iterations=max_iterations
-        )
-
-    def expand(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        objective: Optional[float] = None,
-    ) -> "ExpansionStep":
-        from repro.core.expansion import expansion_step
-
-        return expansion_step(graph, x, objective=objective)
 
     def seacd(
         self,
@@ -126,7 +101,6 @@ class PythonBackend(SolverBackend):
     ) -> "DCSGAResult":
         from repro.core.newsea import _new_sea_python
 
-        self.check_adjacency(adjacency)
         return _new_sea_python(
             gd_plus,
             tol_scale=tol_scale,
@@ -143,7 +117,6 @@ class PythonBackend(SolverBackend):
     ) -> "VertexSolver":
         from repro.core.newsea import _default_solver
 
-        self.check_adjacency(adjacency)
         return _default_solver(tol_scale, max_expansions)
 
     def initialization_plan(
@@ -153,7 +126,6 @@ class PythonBackend(SolverBackend):
     ) -> "InitializationPlan":
         from repro.core.initialization import _smart_initialization_plan_python
 
-        self.check_adjacency(adjacency)
         return _smart_initialization_plan_python(gd_plus)
 
     def replicator(
@@ -191,12 +163,16 @@ class SegmentTreeBackend(SolverBackend):
     ) -> "PeelResult":
         from repro.peeling.greedy import _peel_segment_tree
 
-        self.check_adjacency(adjacency)
         return _peel_segment_tree(graph)
 
 
 class SparseBackend(SolverBackend):
-    """The vectorised CSR/NumPy kernel set; requires SciPy.
+    """The vectorised CSR/NumPy backend; requires SciPy.
+
+    The hot loops (2-coordinate descent, peeling, replicator dynamics)
+    come from one kernel set, :meth:`kernels`; the orchestration of
+    :mod:`repro.core.sparse_solvers` gets its coordinate descent through
+    the ``cd=`` seam, so a subclass that swaps the kernel set reuses it.
 
     Capabilities accept a prebuilt
     :class:`~repro.graph.sparse.CSRAdjacency` (``adjacency=``) so
@@ -218,43 +194,17 @@ class SparseBackend(SolverBackend):
             "use the pure-Python backend instead"
         )
 
+    def kernels(self) -> Union["SparseKernels", "KernelSet"]:
+        from repro.core.sparse_solvers import SPARSE_KERNELS
+
+        return SPARSE_KERNELS
+
     def peel(
         self,
         graph: "Graph",
         adjacency: Optional["CSRAdjacency"] = None,
     ) -> "PeelResult":
-        from repro.peeling.greedy import _peel_sparse
-
-        return _peel_sparse(graph, adjacency=adjacency)
-
-    def shrink(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        subset: Iterable["Vertex"],
-        tol: float,
-        max_iterations: int = 100_000,
-    ) -> "CDResult":
-        import numpy as np
-
-        from repro.core.coordinate_descent import CDResult
-        from repro.core.sparse_solvers import coordinate_descent_csr
-        from repro.graph.sparse import CSRAdjacency
-
-        adj = CSRAdjacency.from_graph(graph)
-        vector = adj.embedding_vector(x)
-        members = np.fromiter(
-            sorted(adj.index[v] for v in subset), dtype=np.int64
-        )
-        vector, _, objective, iterations, converged = coordinate_descent_csr(
-            adj, vector, members, tol, max_iterations, need_dx=False
-        )
-        return CDResult(
-            x=adj.embedding_dict(vector),
-            objective=objective,
-            iterations=iterations,
-            converged=converged,
-        )
+        return self.kernels().peel(graph, adjacency=adjacency)
 
     def seacd(
         self,
@@ -272,6 +222,7 @@ class SparseBackend(SolverBackend):
             tol_scale=tol_scale,
             max_expansions=max_expansions,
             max_cd_iterations=max_cd_iterations,
+            cd=self.kernels().coordinate_descent,
         )
 
     def refine(
@@ -289,6 +240,7 @@ class SparseBackend(SolverBackend):
             x0,
             tol_scale=tol_scale,
             max_cd_iterations=max_cd_iterations,
+            cd=self.kernels().coordinate_descent,
         )
         return RefinementResult(
             x=x,
@@ -313,6 +265,7 @@ class SparseBackend(SolverBackend):
             max_expansions=max_expansions,
             plan=plan,
             adjacency=adjacency,
+            cd=self.kernels().coordinate_descent,
         )
 
     def vertex_solver(
@@ -325,7 +278,8 @@ class SparseBackend(SolverBackend):
         from repro.core.sparse_solvers import csr_vertex_solver
 
         return csr_vertex_solver(
-            gd_plus, tol_scale, max_expansions, adjacency=adjacency
+            gd_plus, tol_scale, max_expansions, adjacency=adjacency,
+            cd=self.kernels().coordinate_descent,
         )
 
     def initialization_plan(
@@ -345,9 +299,9 @@ class SparseBackend(SolverBackend):
         tol: float = 1e-6,
         max_iterations: int = 100_000,
     ) -> "ReplicatorResult":
-        from repro.affinity.replicator import _replicator_sparse
-
-        return _replicator_sparse(graph, x0, rule, tol, max_iterations)
+        return self.kernels().replicator(
+            graph, x0, rule=rule, tol=tol, max_iterations=max_iterations
+        )
 
     def mean_graph(self, graphs: List["Graph"]) -> "Graph":
         from repro.core.monitor import _mean_graph_sparse
@@ -356,16 +310,13 @@ class SparseBackend(SolverBackend):
 
 
 class NativeBackend(SparseBackend):
-    """Numba-compiled kernels over raw CSR arrays; requires SciPy + Numba.
+    """The sparse backend with a Numba-compiled kernel set; requires
+    SciPy + Numba.
 
-    The hot loops — 2-coordinate descent, greedy peeling, replicator
-    dynamics, the induced-block gather — run as ``@njit(cache=True)``
-    kernels from :mod:`repro.core.native_kernels`; every orchestration
-    loop (SEACD, refinement, NewSEA, smart initialisation, mean graph,
-    expansion scoring) is the *shared* vectorised code of the sparse
-    backend, reached through the ``cd=`` kernel seam of
-    :mod:`repro.core.sparse_solvers` — which is what makes native and
-    sparse envelope payloads byte-identical.
+    :meth:`kernels` returns a :class:`~repro.core.native_kernels.KernelSet`
+    whose ``@njit(cache=True)`` kernels replay the sparse hot loops
+    operation for operation; everything else is inherited, which is what
+    makes native and sparse envelope payloads byte-identical.
 
     Numba is imported lazily on first use; without it the backend stays
     registered but unavailable (``resolve_backend("native",
@@ -408,166 +359,10 @@ class NativeBackend(SparseBackend):
 
         warm_kernels(jit=self._jit)
 
-    def _kernels(self):  # type: ignore[no-untyped-def]  # KernelSet (lazy import)
+    def kernels(self) -> "KernelSet":
         from repro.core.native_kernels import get_kernels
 
         return get_kernels(jit=self._jit)
-
-    def peel(
-        self,
-        graph: "Graph",
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "PeelResult":
-        return self._kernels().peel(graph, adjacency=adjacency)
-
-    def shrink(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        subset: Iterable["Vertex"],
-        tol: float,
-        max_iterations: int = 100_000,
-    ) -> "CDResult":
-        import numpy as np
-
-        from repro.core.coordinate_descent import CDResult
-        from repro.graph.sparse import CSRAdjacency
-
-        adj = CSRAdjacency.from_graph(graph)
-        vector = adj.embedding_vector(x)
-        members = np.fromiter(
-            sorted(adj.index[v] for v in subset), dtype=np.int64
-        )
-        vector, _, objective, iterations, converged = (
-            self._kernels().coordinate_descent(
-                adj, vector, members, tol, max_iterations, need_dx=False
-            )
-        )
-        return CDResult(
-            x=adj.embedding_dict(vector),
-            objective=objective,
-            iterations=iterations,
-            converged=converged,
-        )
-
-    def expand(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        objective: Optional[float] = None,
-    ) -> "ExpansionStep":
-        from repro.core.expansion import ExpansionStep
-        from repro.core.sparse_solvers import expansion_step_csr
-        from repro.graph.sparse import CSRAdjacency
-
-        adj = CSRAdjacency.from_graph(graph)
-        vector = adj.embedding_vector({u: w for u, w in x.items() if w > 0.0})
-        dx = adj.matvec(vector)
-        before = float(vector @ dx) if objective is None else objective
-        new_vector, _, after, expanded, z_size = expansion_step_csr(
-            adj, vector, dx, before
-        )
-        return ExpansionStep(
-            x=adj.embedding_dict(new_vector),
-            expanded=expanded,
-            z_size=z_size,
-            objective_before=before,
-            objective_after=after,
-        )
-
-    def seacd(
-        self,
-        graph: "Graph",
-        x0: Dict["Vertex", float],
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        max_cd_iterations: int = 100_000,
-    ) -> "SEACDResult":
-        from repro.core.sparse_solvers import seacd_csr
-
-        return seacd_csr(
-            graph,
-            x0,
-            tol_scale=tol_scale,
-            max_expansions=max_expansions,
-            max_cd_iterations=max_cd_iterations,
-            cd=self._kernels().coordinate_descent,
-        )
-
-    def refine(
-        self,
-        graph: "Graph",
-        x0: Dict["Vertex", float],
-        tol_scale: float = 1e-2,
-        max_cd_iterations: int = 100_000,
-    ) -> "RefinementResult":
-        from repro.core.refinement import RefinementResult
-        from repro.core.sparse_solvers import refine_csr
-
-        x, objective, merges, initial = refine_csr(
-            graph,
-            x0,
-            tol_scale=tol_scale,
-            max_cd_iterations=max_cd_iterations,
-            cd=self._kernels().coordinate_descent,
-        )
-        return RefinementResult(
-            x=x,
-            objective=objective,
-            merges=merges,
-            initial_objective=initial,
-        )
-
-    def new_sea(
-        self,
-        gd_plus: "Graph",
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        plan: Optional["InitializationPlan"] = None,
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "DCSGAResult":
-        from repro.core.sparse_solvers import new_sea_csr
-
-        return new_sea_csr(
-            gd_plus,
-            tol_scale=tol_scale,
-            max_expansions=max_expansions,
-            plan=plan,
-            adjacency=adjacency,
-            cd=self._kernels().coordinate_descent,
-        )
-
-    def vertex_solver(
-        self,
-        gd_plus: "Graph",
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "VertexSolver":
-        from repro.core.sparse_solvers import csr_vertex_solver
-
-        return csr_vertex_solver(
-            gd_plus,
-            tol_scale,
-            max_expansions,
-            adjacency=adjacency,
-            cd=self._kernels().coordinate_descent,
-        )
-
-    def replicator(
-        self,
-        graph: "Graph",
-        x0: Dict["Vertex", float],
-        rule: str = "objective",
-        tol: float = 1e-6,
-        max_iterations: int = 100_000,
-    ) -> "ReplicatorResult":
-        return self._kernels().replicator(
-            graph, x0, rule=rule, tol=tol, max_iterations=max_iterations
-        )
-
-    # initialization_plan and mean_graph are inherited from SparseBackend
-    # verbatim: already vectorised one-pass code with nothing to compile.
 
 
 #: The instances the package registers on import.

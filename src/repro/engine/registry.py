@@ -6,9 +6,7 @@ numba/JIT kernel set, a sharded remote executor, an instrumented test
 double) meant editing ten call sites.  Now a backend is an object:
 
 * subclass :class:`SolverBackend` and override the capabilities you
-  provide (``peel``, ``shrink``/``expand`` — the coordinate-descent
-  stages — ``seacd``, ``refine``, ``new_sea``, ``vertex_solver``,
-  ``initialization_plan``, ``replicator``, ``mean_graph``);
+  provide (the names in :data:`CAPABILITIES`);
 * call :func:`register_backend` with a name (and optional aliases);
 * every layer — core solvers, CLI, batch service, streaming engine —
   immediately accepts the new name.
@@ -28,13 +26,13 @@ Lookups are dict reads, not string ladders.  Error taxonomy:
 The built-in backends (``python`` with alias ``heap``,
 ``segment_tree``, ``sparse``, and ``native`` with alias ``numba``) are
 registered when :mod:`repro.engine.backends` is imported, which the
-package ``__init__`` guarantees.
+package ``__init__`` does before any code can reach this module.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import (
     BackendCapabilityError,
@@ -46,8 +44,6 @@ from repro.exceptions import (
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (no cycles at runtime)
     from repro.affinity.replicator import ReplicatorResult
-    from repro.core.coordinate_descent import CDResult
-    from repro.core.expansion import ExpansionStep
     from repro.core.initialization import InitializationPlan
     from repro.core.newsea import DCSGAResult, VertexSolver
     from repro.core.refinement import RefinementResult
@@ -68,6 +64,13 @@ PeelBackend = Literal["python", "heap", "segment_tree", "sparse"]
 #: Anything the dispatch seam accepts: a registered name or an instance.
 BackendLike = Union[str, "SolverBackend"]
 
+#: Every capability a backend can provide: the method names of
+#: :class:`SolverBackend` that solver entry points dispatch to.
+CAPABILITIES = (
+    "peel", "seacd", "refine", "new_sea", "vertex_solver",
+    "initialization_plan", "replicator", "mean_graph",
+)
+
 
 class SolverBackend:
     """Base class / protocol of one compute backend.
@@ -82,7 +85,7 @@ class SolverBackend:
     can consume a prebuilt :class:`~repro.graph.sparse.CSRAdjacency`
     (the :class:`~repro.engine.prepared.PreparedGraph` sharing
     contract); on other backends passing ``adjacency=`` is an error,
-    enforced centrally by :meth:`check_adjacency`.
+    which the solver entry points raise through :meth:`check_adjacency`.
     """
 
     #: Registry name (set on the subclass).
@@ -128,8 +131,8 @@ class SolverBackend:
 
     # -- shared-adjacency contract ------------------------------------
     def check_adjacency(self, adjacency: Optional["CSRAdjacency"]) -> None:
-        """The one home of the old thrice-duplicated validation:
-        ``adjacency=`` is only meaningful on a CSR-capable backend."""
+        """Reject ``adjacency=`` unless the backend is CSR-capable (run
+        once by each entry point; capability methods do not repeat it)."""
         if adjacency is not None and not self.supports_shared_adjacency:
             raise InputMismatchError(
                 "adjacency is only meaningful with a CSR-capable backend "
@@ -144,26 +147,6 @@ class SolverBackend:
     ) -> "PeelResult":
         """Algorithm 1: greedy peeling by minimum induced degree."""
         raise BackendCapabilityError(self.name, "peel")
-
-    def shrink(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        subset: Iterable["Vertex"],
-        tol: float,
-        max_iterations: int = 100_000,
-    ) -> "CDResult":
-        """The 2-coordinate-descent shrink stage (Section V-B)."""
-        raise BackendCapabilityError(self.name, "shrink")
-
-    def expand(
-        self,
-        graph: "Graph",
-        x: Dict["Vertex", float],
-        objective: Optional[float] = None,
-    ) -> "ExpansionStep":
-        """The SEA expansion step (add vertices with gradient > lambda)."""
-        raise BackendCapabilityError(self.name, "expand")
 
     def seacd(
         self,
@@ -238,21 +221,6 @@ class SolverBackend:
 # the registry proper
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, SolverBackend] = {}
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    """Idempotently register the built-in backends.
-
-    Importing :mod:`repro.engine.backends` has the side effect of
-    registering them; doing it lazily here makes every entry point
-    (`get_backend`, `backend_names`) safe whatever import reached the
-    registry first.
-    """
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        from repro.engine import backends  # noqa: F401  (import = register)
 
 
 def register_backend(
@@ -266,7 +234,6 @@ def register_backend(
     shadowing of a built-in should be loud.  Returns the backend so the
     call can be used as an expression.
     """
-    _ensure_builtins()
     if not backend.name:
         raise ValueError("backend must set a non-empty name")
     names = (backend.name,) + tuple(aliases)
@@ -284,7 +251,6 @@ def register_backend(
 
 def unregister_backend(name: str) -> SolverBackend:
     """Remove one registry entry (alias-by-alias); returns the backend."""
-    _ensure_builtins()
     if name not in _REGISTRY:
         raise UnknownBackendError(name, known=tuple(_REGISTRY))
     return _REGISTRY.pop(name)
@@ -292,8 +258,23 @@ def unregister_backend(name: str) -> SolverBackend:
 
 def backend_names() -> Tuple[str, ...]:
     """Every registered name (aliases included), sorted."""
-    _ensure_builtins()
     return tuple(sorted(_REGISTRY))
+
+
+def warm_backends() -> List[str]:
+    """Warm every available registered backend; returns their names.
+
+    Long-lived hosts (``repro serve`` and each of its cluster workers)
+    call this before accepting traffic, so a JIT-compiling backend pays
+    its compilation once per process, never inside a request.
+    """
+    warmed: List[str] = []
+    for name in sorted({backend.name for backend in _REGISTRY.values()}):
+        backend = get_backend(name, require=False)
+        if backend.available():
+            backend.warm()
+            warmed.append(name)
+    return warmed
 
 
 def get_backend(name: str, require: bool = True) -> SolverBackend:
@@ -304,7 +285,6 @@ def get_backend(name: str, require: bool = True) -> SolverBackend:
     :class:`BackendUnavailableError` here rather than deep inside a
     solve.
     """
-    _ensure_builtins()
     try:
         backend = _REGISTRY[name]
     except KeyError:

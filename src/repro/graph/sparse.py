@@ -174,6 +174,38 @@ class CSRAdjacency:
         matrix.sort_indices()
         return cls(vertices, matrix)
 
+    @classmethod
+    def for_graph(
+        cls,
+        graph: Graph,
+        shared: Optional["CSRAdjacency"] = None,
+        positive: bool = False,
+    ) -> "CSRAdjacency":
+        """The CSR of *graph*: a caller's *shared* one, or a fresh freeze.
+
+        The shared-CSR plumbing makes it easy to pass the adjacency of
+        the *wrong* graph — most treacherously the signed ``GD`` instead
+        of its positive part, which has the same vertex set.  Cheap
+        checks (vertex count, edge count and, with *positive*, strict
+        positivity) catch the realistic mix-ups without a full content
+        comparison; a mismatch raises :class:`InputMismatchError`.
+        """
+        if shared is None:
+            return cls.from_graph(graph)
+        if (shared.n, shared.num_edges) != (graph.num_vertices, graph.num_edges):
+            raise InputMismatchError(
+                f"shared adjacency has {shared.n} vertices and "
+                f"{shared.num_edges} edges but the graph has "
+                f"{graph.num_vertices} and {graph.num_edges}; it was built "
+                "from another graph"
+            )
+        if positive and shared.data.size and not (shared.data > 0).all():
+            raise InputMismatchError(
+                "shared adjacency contains nonpositive weights; it was built "
+                "from the signed difference graph, not its positive part"
+            )
+        return shared
+
     # ------------------------------------------------------------------
     # shape
     # ------------------------------------------------------------------

@@ -33,7 +33,8 @@ Span-name convention (what :func:`phase_of` keys on)::
     solve                        the envelope root (self time = driver)
     prepare.gd_plus / prepare.csr / prepare.fingerprint
                                  PreparedGraph build steps  -> "prepare"
-    backend.<capability>         TracingBackend calls       -> "<capability>"
+    backend.<capability>         TracingBackend calls, one  -> "<capability>"
+                                 per name in engine.registry.CAPABILITIES
     seacd.shrink / seacd.expand  Algorithm 3 stages         -> "shrink"/"expand"
 """
 

@@ -85,7 +85,9 @@ def greedy_peel(
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot peel an empty graph")
-    return resolve_backend(backend).peel(graph, adjacency=adjacency)
+    solver_backend = resolve_backend(backend)
+    solver_backend.check_adjacency(adjacency)
+    return solver_backend.peel(graph, adjacency=adjacency)
 
 
 def _peel_heap(graph: Graph) -> PeelResult:
@@ -176,21 +178,9 @@ def _peel_sparse(
     """
     import numpy as np
 
-    from repro.exceptions import InputMismatchError
     from repro.graph.sparse import CSRAdjacency
 
-    if adjacency is not None:
-        if (
-            adjacency.n != graph.num_vertices
-            or adjacency.num_edges != graph.num_edges
-        ):
-            raise InputMismatchError(
-                "shared adjacency does not match the peeled graph; "
-                "it was built from another graph"
-            )
-        adj = adjacency
-    else:
-        adj = CSRAdjacency.from_graph(graph)
+    adj = CSRAdjacency.for_graph(graph, adjacency)
     n = adj.n
     degrees = adj.degrees().copy()
     alive = np.ones(n, dtype=bool)

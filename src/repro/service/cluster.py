@@ -106,21 +106,6 @@ def _shard(ref: str, n: int) -> int:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _warm_backends() -> List[str]:
-    """Warm every available engine backend (JIT compiles pay here)."""
-    from repro.engine import backend_names, get_backend
-
-    warmed = []
-    for name in sorted(
-        {get_backend(n, require=False).name for n in backend_names()}
-    ):
-        backend = get_backend(name, require=False)
-        if backend.available():
-            backend.warm()
-            warmed.append(name)
-    return warmed
-
-
 async def _worker_serve(
     app: Any, conn: Any, host: str
 ) -> None:
@@ -173,6 +158,7 @@ def _worker_main(
     """
     # repro: allow[REPRO-SIGNAL-RESTORE] -- process-lifetime install; shutdown is router-coordinated
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from repro.engine.registry import warm_backends
     from repro.service.app import ServiceApp
 
     log_level = options.pop("log_level", None)
@@ -219,7 +205,7 @@ def _worker_main(
         on_export=on_export if store is not None else None,
         **options,
     )
-    _warm_backends()
+    warm_backends()
     try:
         asyncio.run(_worker_serve(app, conn, host))
     finally:

@@ -159,47 +159,51 @@ class TestRegistry:
 
 
 class TestShrinkExpandCapabilities:
-    """The coordinate-descent stages exposed as backend capabilities."""
+    """The coordinate-descent stages SEACD runs, called directly."""
 
     @pytest.fixture
     def plus(self, gd):
         return gd.positive_part()
 
     def test_python_shrink_reaches_local_kkt(self, plus):
+        from repro.core.coordinate_descent import coordinate_descent
         from repro.core.kkt import check_kkt
 
-        backend = get_backend("python")
         start = {"a": 0.9, "b": 0.05, "c": 0.05}
-        result = backend.shrink(plus, start, subset={"a", "b", "c"}, tol=1e-9)
+        result = coordinate_descent(
+            plus, start, subset={"a", "b", "c"}, tol=1e-9
+        )
         assert result.converged
         report = check_kkt(plus, result.x, subset={"a", "b", "c"}, tol=1e-6)
         assert report.is_kkt
 
     def test_python_expand_grows_support(self, plus):
-        backend = get_backend("python")
-        step = backend.expand(plus, {"a": 0.5, "b": 0.5})
+        from repro.core.expansion import expansion_step
+
+        step = expansion_step(plus, {"a": 0.5, "b": 0.5})
         assert step.expanded
         assert step.objective_after >= 0.0
 
     @needs_scipy
     def test_sparse_shrink_matches_python(self, plus):
-        start = {"a": 0.9, "b": 0.05, "c": 0.05}
-        python = get_backend("python").shrink(
-            plus, dict(start), subset={"a", "b", "c"}, tol=1e-9
-        )
-        sparse = get_backend("sparse").shrink(
-            plus, dict(start), subset={"a", "b", "c"}, tol=1e-9
-        )
-        assert sparse.converged == python.converged
-        assert sparse.objective == pytest.approx(python.objective)
-        assert set(sparse.x) == set(python.x)
+        import numpy as np
 
-    def test_expand_not_overridden_on_sparse_raises_capability(self, plus):
-        # The sparse backend implements the seacd loop whole; the
-        # standalone expand stage stays a python capability.
-        backend = get_backend("sparse", require=False)
-        with pytest.raises(BackendCapabilityError):
-            backend.expand(plus, {"a": 1.0})
+        from repro.core.coordinate_descent import coordinate_descent
+        from repro.core.sparse_solvers import coordinate_descent_csr
+        from repro.graph.sparse import CSRAdjacency
+
+        start = {"a": 0.9, "b": 0.05, "c": 0.05}
+        python = coordinate_descent(
+            plus, dict(start), subset={"a", "b", "c"}, tol=1e-9
+        )
+        adj = CSRAdjacency.from_graph(plus)
+        members = np.array(sorted(adj.index[v] for v in "abc"))
+        vector, _, objective, _, converged = coordinate_descent_csr(
+            adj, adj.embedding_vector(start), members, tol=1e-9
+        )
+        assert converged == python.converged
+        assert objective == pytest.approx(python.objective)
+        assert set(adj.embedding_dict(vector)) == set(python.x)
 
 
 class TestAvailabilityFallback:

@@ -93,6 +93,41 @@ def python_backend():
     return get_backend("python")
 
 
+def shrink(cd, graph, x, subset, tol):
+    """Run the CSR coordinate-descent kernel *cd* from dict inputs.
+
+    *cd* is ``coordinate_descent_csr`` (sparse) or the kernel set's
+    ``coordinate_descent`` (native); returns a ``CDResult`` keyed by
+    vertex so results compare with ``==``.
+    """
+    import numpy as np
+
+    from repro.core.coordinate_descent import CDResult
+    from repro.graph.sparse import CSRAdjacency
+
+    adj = CSRAdjacency.from_graph(graph)
+    members = np.array(sorted(adj.index[v] for v in subset), dtype=np.int64)
+    vector, _, objective, iterations, converged = cd(
+        adj, adj.embedding_vector(x), members, tol, need_dx=False
+    )
+    return CDResult(
+        x=adj.embedding_dict(vector),
+        objective=objective,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def native_shrink(graph, x, subset, tol):
+    return shrink(get_kernels(jit=False).coordinate_descent, graph, x, subset, tol)
+
+
+def sparse_shrink(graph, x, subset, tol):
+    from repro.core.sparse_solvers import coordinate_descent_csr
+
+    return shrink(coordinate_descent_csr, graph, x, subset, tol)
+
+
 def build_graph(
     n: int,
     density: float,
@@ -228,8 +263,8 @@ class TestShrinkDifferential:
     def test_shrink_matches_sparse_bitwise(self, graph):
         subset = list(graph.vertices())
         x0 = {u: 1.0 / len(subset) for u in subset}
-        native = native_backend().shrink(graph, dict(x0), subset, tol=1e-9)
-        sparse = sparse_backend().shrink(graph, dict(x0), subset, tol=1e-9)
+        native = native_shrink(graph, dict(x0), subset, tol=1e-9)
+        sparse = sparse_shrink(graph, dict(x0), subset, tol=1e-9)
         assert native.x == sparse.x
         assert native.objective == sparse.objective
         assert native.iterations == sparse.iterations
@@ -237,7 +272,7 @@ class TestShrinkDifferential:
 
     def test_shrink_singleton_support(self):
         graph = build_graph(6, 0.6, seed=2, signed=False)
-        native = native_backend().shrink(graph, {0: 1.0}, [0], tol=1e-9)
+        native = native_shrink(graph, {0: 1.0}, [0], tol=1e-9)
         assert native.x == {0: 1.0}
         assert native.objective == 0.0
         assert native.converged
@@ -254,8 +289,8 @@ class TestShrinkDifferential:
                     )
         subset = list(graph.vertices())
         x0 = {u: 1.0 / len(subset) for u in subset}
-        native = native_backend().shrink(graph, dict(x0), subset, tol=1e-9)
-        sparse = sparse_backend().shrink(graph, dict(x0), subset, tol=1e-9)
+        native = native_shrink(graph, dict(x0), subset, tol=1e-9)
+        sparse = sparse_shrink(graph, dict(x0), subset, tol=1e-9)
         assert native.x == sparse.x
         assert native.objective == sparse.objective
 
@@ -284,12 +319,12 @@ class TestShrinkDifferential:
         graph = build_graph(30, 0.3, seed=23, signed=False)
         subset = list(graph.vertices())
         x0 = {u: 1.0 / len(subset) for u in subset}
-        dense = native_backend().shrink(graph, dict(x0), subset, tol=1e-9)
+        dense = native_shrink(graph, dict(x0), subset, tol=1e-9)
         original = ss.DENSE_SUPPORT_LIMIT
         ss.DENSE_SUPPORT_LIMIT = 2
         try:
-            csr = native_backend().shrink(graph, dict(x0), subset, tol=1e-9)
-            sparse = sparse_backend().shrink(graph, dict(x0), subset, tol=1e-9)
+            csr = native_shrink(graph, dict(x0), subset, tol=1e-9)
+            sparse = sparse_shrink(graph, dict(x0), subset, tol=1e-9)
         finally:
             ss.DENSE_SUPPORT_LIMIT = original
         assert nk is not None
@@ -372,13 +407,22 @@ class TestSolverDifferential:
     def test_expand_matches_python_reference(self, graph):
         if graph.num_edges == 0:
             return
+        from repro.core.expansion import expansion_step
+        from repro.core.sparse_solvers import expansion_step_csr
+        from repro.graph.sparse import CSRAdjacency
+
         start = max(graph.vertices(), key=lambda u: graph.degree(u))
-        native = native_backend().expand(graph, {start: 1.0})
-        python = python_backend().expand(graph, {start: 1.0})
-        assert native.expanded == python.expanded
-        assert native.z_size == python.z_size
-        assert set(native.x) == set(python.x)
-        assert native.objective_after == pytest.approx(
+        adj = CSRAdjacency.from_graph(graph)
+        vector = adj.embedding_vector({start: 1.0})
+        dx = adj.matvec(vector)
+        new_vector, _, objective_after, expanded, z_size = expansion_step_csr(
+            adj, vector, dx, float(vector @ dx)
+        )
+        python = expansion_step(graph, {start: 1.0})
+        assert expanded == python.expanded
+        assert z_size == python.z_size
+        assert set(adj.embedding_dict(new_vector)) == set(python.x)
+        assert objective_after == pytest.approx(
             python.objective_after, rel=1e-9, abs=1e-12
         )
 
@@ -429,19 +473,10 @@ class TestRegistryIntegration:
         )
 
     def test_capability_table(self):
+        from repro.engine.registry import CAPABILITIES
+
         backend = native_backend()
-        for capability in (
-            "peel",
-            "shrink",
-            "expand",
-            "seacd",
-            "refine",
-            "new_sea",
-            "vertex_solver",
-            "initialization_plan",
-            "replicator",
-            "mean_graph",
-        ):
+        for capability in CAPABILITIES:
             assert backend.has_capability(capability), capability
         assert backend.supports_shared_adjacency
 

@@ -33,7 +33,12 @@ from repro.batch.queries import query_from_dict
 from repro.core.difference import assemble_difference
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
-from repro.engine.registry import get_backend, resolve_backend
+from repro.engine.registry import (
+    CAPABILITIES,
+    SolverBackend,
+    get_backend,
+    resolve_backend,
+)
 from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
 from repro.obs.backend import TracingBackend, maybe_wrap, wrap_backend
@@ -180,7 +185,7 @@ class TestTracingBackend:
     def test_capability_introspection_delegates(self):
         inner = get_backend("python")
         wrapped = wrap_backend(inner, Tracer())
-        for capability in ("peel", "seacd", "refine", "new_sea"):
+        for capability in CAPABILITIES:
             assert wrapped.has_capability(capability) == (
                 inner.has_capability(capability)
             )
@@ -197,6 +202,29 @@ class TestTracingBackend:
             backend.peel(gd)
         names = [span.name for span in tracer.roots]
         assert "backend.peel" in names
+
+    @pytest.mark.parametrize("capability", CAPABILITIES)
+    def test_each_capability_is_traced_and_transparent(self, capability):
+        class Echo(SolverBackend):
+            name = "echo"
+
+        def echo(self, *args, **kwargs):
+            return (capability, args, kwargs)
+
+        setattr(Echo, capability, echo)
+        tracer = Tracer()
+        wrapped = wrap_backend(Echo(), tracer)
+        result = getattr(wrapped, capability)("graph", adjacency=None)
+        assert result == (capability, ("graph",), {"adjacency": None})
+        assert [
+            (span.name, span.attributes) for span in tracer.roots
+        ] == [(f"backend.{capability}", {"backend": "echo"})]
+        assert not tracer.roots[0].children
+        expected = {"python": True, "segment_tree": capability == "peel"}
+        for name, has in expected.items():
+            inner = get_backend(name)
+            assert inner.has_capability(capability) == has
+            assert wrap_backend(inner, tracer).has_capability(capability) == has
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.core.initialization import smart_initialization_plan
 from repro.core.newsea import new_sea, solve_all_initializations
 from repro.core.refinement import refine
 from repro.core.seacd import seacd
-from repro.exceptions import VertexNotFound
+from repro.exceptions import InputMismatchError, VertexNotFound
 from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
 from repro.graph.matrices import affinity_matrix
@@ -245,6 +245,17 @@ class TestPlanParity:
         graph.add_vertices("abc")
         sp = smart_initialization_plan(graph, backend="sparse")
         assert sp.mu == {"a": 0.0, "b": 0.0, "c": 0.0}
+
+    def test_adjacency_of_signed_graph_rejected(self):
+        # The CSR of GD passed for GD+ would give a plan with the wrong
+        # mu and order, on which new_sea(plan=...) would then prune.
+        gd = random_signed_graph(30, 0.3, seed=1)
+        with pytest.raises(InputMismatchError):
+            smart_initialization_plan(
+                gd.positive_part(),
+                backend="sparse",
+                adjacency=CSRAdjacency.from_graph(gd),
+            )
 
 
 # ----------------------------------------------------------------------
