@@ -57,9 +57,12 @@ lint: lint-invariants
 ## serial loop (>= 2x on a 16-query sweep), warm query-service
 ## throughput over a per-query CLI subprocess loop (>= 5x on a
 ## 32-query sweep), and 8-tenant session throughput over 8 naive
-## replays (>= 3x events/sec) — all with answer-parity checks.
+## replays (>= 3x events/sec) — all with answer-parity checks — plus
+## bench_ablation_peeling_backend.py, which times the heap,
+## segment-tree and sparse peels on DBLP-C Weighted and checks they
+## agree on subset and density.
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_scalability.py benchmarks/bench_streaming.py benchmarks/bench_batch.py benchmarks/bench_service.py benchmarks/bench_sessions.py benchmarks/bench_service_scale.py -q
+	$(PYTHON) -m pytest benchmarks/bench_scalability.py benchmarks/bench_streaming.py benchmarks/bench_batch.py benchmarks/bench_service.py benchmarks/bench_sessions.py benchmarks/bench_service_scale.py benchmarks/bench_ablation_peeling_backend.py -q
 
 ## Streaming benchmark only — incremental engine vs naive recompute,
 ## alert parity and the >= 3x speedup gate.

@@ -27,9 +27,10 @@ SciPy's C ``csr_matvec`` does) — so the compiled coordinate-descent
 trajectory is bitwise identical to ``coordinate_descent_csr`` and the
 peel pop order is bitwise identical to ``_peel_sparse``.  The only
 tolerated divergence is NumPy's pairwise summation in a handful of
-*reductions* (``removed.sum()``, BLAS dots), which can move density
-low bits without affecting selections; the differential test tier pins
-all of this down.
+*reductions* (BLAS dots, and the sparse peel's sum of a removed row
+with 8 or more live weights, which it hands to ``np.add.reduce``),
+which can move density low bits without affecting selections; the
+differential test tier pins all of this down.
 
 **Lazy, gated, and testable without Numba.**  Numba is imported inside
 :func:`get_kernels` only; its absence leaves every existing backend
@@ -329,12 +330,14 @@ def _peel_kernel(
 ) -> int:
     """Algorithm 1 greedy peel over raw CSR arrays.
 
-    A faithful replica of ``_peel_sparse``: the priority queue is a
-    lazy binary heap whose sift operations copy CPython's ``heapq``
-    exactly (inlined — Numba caching forbids closures), entries compare
-    as ``(key, vertex)`` tuples, and a popped entry is stale unless its
-    key equals the vertex's current degree.  Writes the removal order
-    and the density profile; returns 0 (outputs carry the result).
+    Pops the same vertex as ``_peel_sparse`` at every step, the alive
+    vertex of least ``(degree, vertex)``: the priority queue is a lazy
+    binary heap whose sift operations copy CPython's ``heapq`` exactly
+    (inlined — Numba caching forbids closures), entries compare as
+    ``(key, vertex)`` tuples, every degree update pushes a fresh entry,
+    and a popped entry is stale unless its key equals the vertex's
+    current degree.  Writes the removal order and the density profile;
+    returns 0 (outputs carry the result).
     """
     n = degrees.shape[0]
     capacity = n + indices.shape[0] + 1

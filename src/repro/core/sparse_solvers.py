@@ -510,7 +510,10 @@ def new_sea_csr(
 # the kernel set of the sparse backend
 # ----------------------------------------------------------------------
 class SparseKernels:
-    """The NumPy hot loops, bundled as the ``sparse`` backend's kernel set.
+    """The interpreted hot loops, bundled as the ``sparse`` backend's
+    kernel set: coordinate descent and replicator dynamics in NumPy,
+    the greedy peel as a scalar loop over the CSR arrays (rows are too
+    short for per-row NumPy calls to pay off).
 
     :class:`repro.core.native_kernels.KernelSet` has the same three
     methods, compiled; the backend hands :attr:`coordinate_descent` to

@@ -9,11 +9,12 @@ distinguish this implementation from the textbook one:
   priority structure must support both key directions.  All backends do:
   an addressable :class:`~repro.structures.heap.IndexedHeap`, the
   :class:`~repro.structures.segment_tree.MinSegmentTree` the paper
-  suggests, and a vectorised ``"sparse"`` backend (NumPy degree array
-  over a :class:`~repro.graph.sparse.CSRAdjacency` plus a lazy binary
-  heap).  On positive-weight graphs the greedy retains its classic
-  2-approximation guarantee; on signed graphs it is a heuristic (DCSAD is
-  ``O(n^{1-eps})``-inapproximable, Corollary 1).
+  suggests, and the ``"sparse"`` backend (a scalar loop over the
+  frozen arrays of a :class:`~repro.graph.sparse.CSRAdjacency`, with
+  degrees in a list and a lazy binary heap).  On positive-weight graphs
+  the greedy retains its classic 2-approximation guarantee; on signed
+  graphs it is a heuristic (DCSAD is ``O(n^{1-eps})``-inapproximable,
+  Corollary 1).
 * **Density convention.**  Average degree is the paper's
   ``rho(S) = W(S)/|S|`` with ``W`` the total degree (each edge twice).
 
@@ -42,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: pure-Python priority structure), so callers can use the same
 #: backend vocabulary across every solver layer; the names resolve
 #: through the engine registry (:mod:`repro.engine.registry`).
+
+#: NumPy's pairwise float summation adds fewer terms than this left to
+#: right and splits them into 8 accumulators from here up; the sparse
+#: peel follows the same rule to keep its densities bit-identical to a
+#: ``.sum()`` of the removed weights.  A fact of NumPy, not a knob.
+_PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -166,15 +173,25 @@ def _peel_loop(graph, degrees, heap_pop, heap_adjust, alive) -> PeelResult:
 def _peel_sparse(
     graph: Graph, adjacency: Optional["CSRAdjacency"] = None
 ) -> PeelResult:
-    """Vectorised peel: CSR degree array + lazy heap.
+    """Scalar peel over the frozen CSR arrays + lazy heap.
 
-    Degrees are initialised as one row-sum and updated with O(deg)
-    NumPy row slices; the priority queue is a lazy ``heapq`` (an entry
-    is stale unless its key equals the vertex's current degree), which
-    handles both key directions of signed weights without an
-    addressable structure.  *adjacency* supplies the graph's prebuilt
-    CSR (validated cheaply against vertex/edge counts) so shared
-    preparations skip the freeze.
+    The loop reads ``indptr``/``indices``/``data`` through zero-copy
+    ``memoryview`` objects (read-only shared-memory views included) and
+    keeps degrees in a Python list: rows average a handful of entries,
+    so one NumPy call per row would cost more than the row's arithmetic.
+
+    The priority queue is a lazy ``heapq`` of ``(degree, index)``
+    tuples.  A falling degree pushes its new key at once; a rising one
+    (negative incident weight) leaves its lower, stale entry in place
+    and re-pushes the current key only when that entry surfaces.  Each
+    pop is therefore the alive vertex of least ``(degree, index)``.
+
+    A removed row's live weights are summed left to right below
+    :data:`_PAIRWISE_MIN` terms and by ``np.add.reduce`` from there up,
+    which is exactly NumPy's pairwise summation, so the density profile
+    matches a vectorised ``weights[live].sum()`` bit for bit.
+    *adjacency* supplies the graph's prebuilt CSR (validated cheaply
+    against vertex/edge counts) so shared preparations skip the freeze.
     """
     import numpy as np
 
@@ -182,39 +199,57 @@ def _peel_sparse(
 
     adj = CSRAdjacency.for_graph(graph, adjacency)
     n = adj.n
-    degrees = adj.degrees().copy()
-    alive = np.ones(n, dtype=bool)
-    heap = [(float(degrees[i]), i) for i in range(n)]
+    if n == 0:
+        raise ValueError("cannot peel an empty graph")
+    row_sums = adj.degrees()
+    total_degree = float(row_sums.sum())
+    degrees: List[float] = row_sums.tolist()
+    indptr = memoryview(adj.indptr)
+    indices = memoryview(adj.indices)
+    data = memoryview(adj.data)
+    alive = [True] * n
+    heap = list(zip(degrees, range(n)))
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    def pop_min() -> int:
-        while True:
-            key, vertex = heapq.heappop(heap)
-            if alive[vertex] and key == degrees[vertex]:
-                return vertex
-
-    total_degree = float(degrees.sum())
     size = n
     order_idx: List[int] = []
-    densities: List[float] = []
     best_density = total_degree / size
     best_size = size
-    densities.append(best_density)
+    densities = [best_density]
 
-    while size > 1:
-        vertex = pop_min()
-        alive[vertex] = False
+    while True:
+        while True:
+            key, vertex = heappop(heap)
+            if alive[vertex]:
+                degree = degrees[vertex]
+                if key == degree:
+                    break
+                if key < degree:
+                    heappush(heap, (degree, vertex))
         order_idx.append(vertex)
-        neighbors, weights = adj.row(vertex)
-        live = alive[neighbors]
-        touched = neighbors[live]
-        removed = weights[live]
-        degrees[touched] -= removed
-        for neighbor in touched:
-            heapq.heappush(heap, (float(degrees[neighbor]), int(neighbor)))
+        if size == 1:
+            # The last vertex (density 0 on its own) completes the order.
+            break
+        alive[vertex] = False
+        start, end = indptr[vertex], indptr[vertex + 1]
+        removed = 0.0
+        for k in range(start, end):
+            neighbor = indices[k]
+            if alive[neighbor]:
+                weight = data[k]
+                degree = degrees[neighbor] - weight
+                degrees[neighbor] = degree
+                if weight > 0.0:
+                    heappush(heap, (degree, neighbor))
+                removed += weight
+        if end - start >= _PAIRWISE_MIN:
+            live = [data[k] for k in range(start, end) if alive[indices[k]]]
+            if len(live) >= _PAIRWISE_MIN:
+                removed = float(np.add.reduce(live))
         # Each removed undirected edge contributes twice to the total
         # degree: once at each endpoint.
-        total_degree -= 2.0 * float(removed.sum())
+        total_degree -= 2.0 * removed
         size -= 1
         density = total_degree / size
         densities.append(density)
@@ -222,12 +257,9 @@ def _peel_sparse(
             best_density = density
             best_size = size
 
-    # The last vertex (density 0 on its own) completes the order.
-    order_idx.append(pop_min())
-
-    order = [adj.vertices[i] for i in order_idx]
-    removed_count = n - best_size
-    subset = set(order[removed_count:])
+    vertices = adj.vertices
+    order = [vertices[i] for i in order_idx]
+    subset = set(order[n - best_size:])
     return PeelResult(
         subset=subset,
         density=best_density,

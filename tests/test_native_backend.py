@@ -200,12 +200,16 @@ class TestPeelDifferential:
         assert native.density == pytest.approx(python.density)
 
     def test_empty_graph_raises(self):
+        from repro.core.sparse_solvers import SPARSE_KERNELS
         from repro.peeling.greedy import greedy_peel
 
         with pytest.raises(ValueError):
             greedy_peel(Graph(), backend=native_backend())
         with pytest.raises(ValueError):
             get_kernels(jit=False).peel(Graph())
+        # The two kernel sets are drop-ins: same error, same message.
+        with pytest.raises(ValueError, match="cannot peel an empty graph"):
+            SPARSE_KERNELS.peel(Graph())
 
     def test_one_vertex_graph(self):
         graph = Graph()

@@ -12,12 +12,22 @@ Covered, per the acceptance criteria: replicator dynamics, SEACD,
 greedy peeling, and the full ``new_sea`` pipeline; plus the building
 blocks (CSR adjacency itself, the vectorised initialisation plan,
 refinement, and the all-initialisations driver).
+
+One tier *is* bitwise: the sparse peel against the vectorised NumPy
+body it replaced (:class:`TestSparsePeelBitExact`), which must give the
+same removal order, prefix and density bits.
 """
 
 from __future__ import annotations
 
+import heapq
+import random
+from typing import List, Optional
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.affinity.replicator import replicator_dynamics
 from repro.core.dcsad import dcs_greedy
@@ -30,7 +40,7 @@ from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
 from repro.graph.matrices import affinity_matrix
 from repro.graph.sparse import CSRAdjacency
-from repro.peeling.greedy import greedy_peel
+from repro.peeling.greedy import PeelResult, _peel_sparse, greedy_peel
 
 SEEDS = (3, 7, 21)
 
@@ -223,6 +233,177 @@ class TestPeelingParity:
         assert sp.subset == py.subset
         assert sp.density == pytest.approx(py.density, rel=1e-9)
         assert sp.winner == py.winner
+
+
+# The vectorised sparse peel that the scalar loop replaced, kept
+# verbatim as the oracle of TestSparsePeelBitExact.
+def _numpy_peel_oracle(
+    graph: Graph, adjacency: Optional["CSRAdjacency"] = None
+) -> PeelResult:
+    """Vectorised peel: CSR degree array + lazy heap.
+
+    Degrees are initialised as one row-sum and updated with O(deg)
+    NumPy row slices; the priority queue is a lazy ``heapq`` (an entry
+    is stale unless its key equals the vertex's current degree), which
+    handles both key directions of signed weights without an
+    addressable structure.  *adjacency* supplies the graph's prebuilt
+    CSR (validated cheaply against vertex/edge counts) so shared
+    preparations skip the freeze.
+    """
+    import numpy as np
+
+    from repro.graph.sparse import CSRAdjacency
+
+    adj = CSRAdjacency.for_graph(graph, adjacency)
+    n = adj.n
+    degrees = adj.degrees().copy()
+    alive = np.ones(n, dtype=bool)
+    heap = [(float(degrees[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+
+    def pop_min() -> int:
+        while True:
+            key, vertex = heapq.heappop(heap)
+            if alive[vertex] and key == degrees[vertex]:
+                return vertex
+
+    total_degree = float(degrees.sum())
+    size = n
+    order_idx: List[int] = []
+    densities: List[float] = []
+    best_density = total_degree / size
+    best_size = size
+    densities.append(best_density)
+
+    while size > 1:
+        vertex = pop_min()
+        alive[vertex] = False
+        order_idx.append(vertex)
+        neighbors, weights = adj.row(vertex)
+        live = alive[neighbors]
+        touched = neighbors[live]
+        removed = weights[live]
+        degrees[touched] -= removed
+        for neighbor in touched:
+            heapq.heappush(heap, (float(degrees[neighbor]), int(neighbor)))
+        # Each removed undirected edge contributes twice to the total
+        # degree: once at each endpoint.
+        total_degree -= 2.0 * float(removed.sum())
+        size -= 1
+        density = total_degree / size
+        densities.append(density)
+        if density > best_density:
+            best_density = density
+            best_size = size
+
+    # The last vertex (density 0 on its own) completes the order.
+    order_idx.append(pop_min())
+
+    order = [adj.vertices[i] for i in order_idx]
+    removed_count = n - best_size
+    subset = set(order[removed_count:])
+    return PeelResult(
+        subset=subset,
+        density=best_density,
+        order=order,
+        densities=densities,
+    )
+
+
+@st.composite
+def peel_cases(draw) -> Graph:
+    """A signed graph with fractional weights built to reach every
+    branch of the scalar sparse peel.
+
+    * a planted clique of 9-14 vertices: its first member to go still
+      has at least 8 live neighbours, so NumPy's pairwise rule applies;
+    * 1-3 vertices whose every edge is negative: removing one *raises*
+      its neighbours' degrees;
+    * 0-3 isolated vertices;
+    * weights either continuous or on a coarse decimal grid, whose
+      inexact sums and frequent degree ties stress the summation order
+      and the ``(degree, index)`` tie-break.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    clique = draw(st.integers(9, 14))
+    others = draw(st.integers(0, 20))
+    negatives = draw(st.integers(1, 3))
+    isolated = draw(st.integers(0, 3))
+    density = draw(st.floats(min_value=0.05, max_value=0.6))
+
+    def magnitude() -> float:
+        if grid:
+            return rng.choice((0.1, 0.2, 0.3, 0.7, 1.1, 2.5))
+        return rng.uniform(0.05, 3.0)
+
+    def signed() -> float:
+        return magnitude() if rng.random() < 0.65 else -magnitude()
+
+    graph = Graph()
+    core = list(range(clique + others))
+    graph.add_vertices(range(clique + others + negatives + isolated))
+    for u in range(clique):
+        for v in range(u + 1, clique):
+            graph.add_edge(u, v, signed())
+    for u in core:
+        for v in range(max(u + 1, clique), len(core)):
+            if rng.random() < density:
+                graph.add_edge(u, v, signed())
+    for u in range(len(core), len(core) + negatives):
+        for v in rng.sample(core, rng.randint(1, min(9, len(core)))):
+            graph.add_edge(u, v, -magnitude())
+    return graph
+
+
+def _max_live_at_removal(graph: Graph, order: List) -> int:
+    """The most not-yet-removed neighbours any vertex had when peeled."""
+    gone = set()
+    most = 0
+    for vertex in order:
+        gone.add(vertex)
+        most = max(most, sum(1 for u in graph.neighbors(vertex) if u not in gone))
+    return most
+
+
+def _read_only_csr(graph: Graph) -> CSRAdjacency:
+    """The CSR of *graph* over frozen array copies, as a shared-memory
+    attach (:mod:`repro.engine.shm`) hands it to a worker."""
+    from repro.engine.shm import _csr_from_arrays
+
+    adj = CSRAdjacency.from_graph(graph)
+    arrays = []
+    for array in (adj.indptr, adj.indices, adj.data):
+        frozen = array.copy()
+        frozen.flags.writeable = False
+        arrays.append(frozen)
+    return _csr_from_arrays(adj.vertices, *arrays)
+
+
+class TestSparsePeelBitExact:
+    """The scalar sparse peel against the vectorised NumPy body it
+    replaced, kept above as the oracle: same pop order, same prefix and
+    the same density bits, on private and read-only CSR arrays."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(peel_cases())
+    def test_matches_numpy_oracle_bit_for_bit(self, graph):
+        expected = _numpy_peel_oracle(graph)
+        assert _max_live_at_removal(graph, expected.order) >= 8
+        shared = _read_only_csr(graph)
+        assert not shared.data.flags.writeable
+        for adjacency in (None, shared):
+            got = _peel_sparse(graph, adjacency=adjacency)
+            assert got.order == expected.order
+            assert got.subset == expected.subset
+            assert got.density.hex() == expected.density.hex()
+            assert [d.hex() for d in got.densities] == [
+                d.hex() for d in expected.densities
+            ]
 
 
 # ----------------------------------------------------------------------
