@@ -82,7 +82,7 @@ bench-service:
 	$(PYTHON) -m pytest benchmarks/bench_service.py -q
 
 ## Service smoke: spawn a real server, run the client round-trip tour
-## (upload, solve, cached re-solve, batch, stream replay, /metrics).
+## (upload, solve, cached re-solve, batch, /metrics).
 serve-smoke:
 	$(PYTHON) examples/service_client.py
 

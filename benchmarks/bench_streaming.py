@@ -69,6 +69,10 @@ def _run_engine(stream, policy: str, backend: str = "python"):
     return engine, alerts
 
 
+def _entries(log):
+    return [(a.step, a.subset, a.score, a.source) for a in log]
+
+
 def _sweep():
     rows = []
     for n, steps in SIZES:
@@ -106,12 +110,12 @@ def _sweep():
             row["sparse_alerts"] = sp_alerts
             row["t_sparse"] = t_sparse
             row["sparse_stats"] = sp_engine.stats
-            # Gated sparse engine: the run that exercises the CSR
-            # patch-and-rebuild mirror (incumbent re-scoring).
-            (sp_gated, sp_gated_alerts), _ = timed(
+            # Gated sparse engine: solves on the sparse backend,
+            # re-scores held incumbents on the same dict difference
+            # graph as the python engine, so its log must match.
+            (_, sp_gated_alerts), _ = timed(
                 _run_engine, stream, "gated", "sparse"
             )
-            row["sparse_gated_stats"] = sp_gated.stats
             row["sparse_gated_alerts"] = sp_gated_alerts
         rows.append(row)
     return rows
@@ -199,14 +203,14 @@ def test_streaming(benchmark):
         ) == alert_keys(naive.fired(FIRE_THRESHOLD))
         assert row["gated_stats"].full_solves < row["stats"].full_solves
         assert row["gated_stats"].incumbent_holds > 0
-        # 4. Backend parity, and the CSR mirror actually patching in
-        #    place under the gated policy's re-scoring.
+        # 4. Backend parity: the sparse engines flag the same alerts,
+        #    and the gated sparse log equals the python gated log entry
+        #    by entry — step, subset, score and source.
         if "sparse_alerts" in row:
             assert alert_keys(row["sparse_alerts"]) == alert_keys(mine)
-            assert alert_keys(
-                row["sparse_gated_alerts"].fired(FIRE_THRESHOLD)
-            ) == alert_keys(naive.fired(FIRE_THRESHOLD))
-            assert row["sparse_gated_stats"].csr_patches > 0
+            assert _entries(row["sparse_gated_alerts"]) == _entries(
+                gated
+            ), f"n={row['n']}"
 
     # 5. The speedup gate, at the largest event count.
     largest = rows[-1]

@@ -4,8 +4,9 @@ Two modes:
 
 * **self-contained demo** (default): starts ``repro serve`` as a
   subprocess on an ephemeral port, uploads a graph pair, runs the full
-  route tour — solve, cached re-solve, top-k, a batch submission, a
-  stream replay, ``/metrics`` — and shuts the server down.
+  route tour — solve, cached re-solve, top-k, a batch submission,
+  ``/metrics`` — and shuts the server down.  Stream sessions have their
+  own tour in ``examples/stream_session_client.py``.
 * **client mode** (``--url http://host:port``): the same tour against a
   server you already started (skipping the subprocess), e.g.::
 
@@ -48,18 +49,6 @@ G2 = (
     "ada bob 3.0\nbob cy 3.0\nada cy 2.0\n"
     "cy dee 1.0\ndee eve 1.0\n"
 )
-EVENTS = "\n".join(
-    [
-        "0 ada bob 1.0",
-        "3 ada bob 6.0",
-        "3 bob cy 4.0",
-        "3 ada cy 5.0",
-        "cy",
-        "dee",
-    ]
-) + "\n"
-
-
 def tour(base: str) -> None:
     status, health = call(base, "GET", "/healthz")
     print(f"healthz          -> {status} {health}")
@@ -93,14 +82,6 @@ def tour(base: str) -> None:
         f"batch x3         -> {status} "
         f"statuses={[r['status'] for r in body['results']]} "
         f"cache_hits={body['stats']['cache_hits']}"
-    )
-
-    status, body = call(base, "POST", "/v1/stream/replay", {
-        "events": EVENTS, "window": 2, "threshold": 2.0,
-    })
-    print(
-        f"stream replay    -> {status} "
-        f"alerts={[a['step'] for a in body['result']['alerts']]}"
     )
 
     status, _ = call(base, "POST", "/v1/solve", {"graph": "ghost"})

@@ -66,13 +66,9 @@ def prep_key(query: BatchQuery) -> PrepKey:
     ) + transform
 
 
-def event_log_fingerprint(log: EventLog) -> str:
+def _event_log_fingerprint(log: EventLog) -> str:
     """Content hash of an event log (the stream analogue of
-    :func:`~repro.graph.sparse.graph_fingerprint`).
-
-    Public because the query service addresses its replay cache with
-    it — one vocabulary of content identity across batch and service.
-    """
+    :func:`~repro.graph.sparse.graph_fingerprint`)."""
     digest = hashlib.sha256()
     for vertex in sorted(map(repr, log.declared)):
         digest.update(vertex.encode("utf-8"))
@@ -169,7 +165,7 @@ class BatchPlan:
                 )
                 continue
             if isinstance(payload, EventLog):
-                fingerprint = event_log_fingerprint(payload)
+                fingerprint = _event_log_fingerprint(payload)
             elif isinstance(payload, PreparedGraph):
                 # Already fingerprinted at preparation time (and the
                 # graph may live in a shared-memory segment with no

@@ -38,7 +38,7 @@ back as one JSONL result record per query.
 
 ``repro serve`` starts the long-running query service
 (:mod:`repro.service`): an HTTP/JSON server that keeps named graphs
-prepared in a warm LRU and serves solve / batch / stream-replay
+prepared in a warm LRU and serves solve / batch / stream-session
 requests against them, with admission control (429 on overflow),
 per-request timeouts, ``/healthz`` and ``/metrics``.
 
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="long-running HTTP/JSON query service (warm graph cache, "
-        "batch + stream-replay routes, /healthz, /metrics)",
+        "batch + stream-session routes, /healthz, /metrics)",
     )
     serve.add_argument(
         "--host",

@@ -38,12 +38,6 @@ class InitializationPlan:
 
     mu: Dict[Vertex, float]
     order: List[Vertex]
-    ego_max_weight: Dict[Vertex, float]
-    core_number: Dict[Vertex, int]
-
-    def candidates_above(self, bound: float) -> int:
-        """How many vertices have ``mu_u > bound`` (diagnostics)."""
-        return sum(1 for value in self.mu.values() if value > bound)
 
 
 def ego_max_weights(gd_plus: Graph) -> Dict[Vertex, float]:
@@ -109,12 +103,7 @@ def _smart_initialization_plan_python(gd_plus: Graph) -> InitializationPlan:
         gd_plus.vertices(),
         key=lambda u: (-mu[u], -gd_plus.degree(u), repr(u)),
     )
-    return InitializationPlan(
-        mu=mu,
-        order=order,
-        ego_max_weight=weights,
-        core_number={u: cores.get(u, 0) for u in gd_plus.vertices()},
-    )
+    return InitializationPlan(mu=mu, order=order)
 
 
 def _smart_initialization_plan_sparse(
@@ -140,7 +129,7 @@ def _smart_initialization_plan_sparse(
     adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
     n = adj.n
     if n == 0:
-        return InitializationPlan(mu={}, order=[], ego_max_weight={}, core_number={})
+        return InitializationPlan(mu={}, order=[])
 
     row_sizes = adj.unweighted_degrees()
     nonempty = np.flatnonzero(row_sizes > 0)
@@ -167,6 +156,4 @@ def _smart_initialization_plan_sparse(
     return InitializationPlan(
         mu={vertices[i]: float(mu[i]) for i in range(n)},
         order=[vertices[int(i)] for i in order_idx],
-        ego_max_weight={vertices[i]: float(ego[i]) for i in range(n)},
-        core_number={vertices[i]: int(tau[i]) for i in range(n)},
     )

@@ -13,7 +13,7 @@ NumPy/SciPy vector operations instead of Python dict loops.
   ordered by ``repr`` by default so every backend agrees on tie-breaks;
 * a symmetric ``scipy.sparse`` CSR matrix with a zero diagonal (the
   affinity matrix ``D`` of the paper);
-* raw ``indptr``/``indices``/``data`` views for O(deg) row surgery.
+* raw ``indptr``/``indices``/``data`` views for O(deg) row access.
 
 Embeddings cross the boundary through :meth:`embedding_vector` /
 :meth:`embedding_dict`, so callers keep speaking ``{vertex: weight}``
@@ -305,39 +305,6 @@ class CSRAdjacency:
         return CSRAdjacency(list(self.vertices), kept)
 
     # ------------------------------------------------------------------
-    # in-place deltas
-    # ------------------------------------------------------------------
-    def _patch_position(self, i: int, j: int, weight: float) -> bool:
-        start, end = int(self.indptr[i]), int(self.indptr[i + 1])
-        position = int(np.searchsorted(self.indices[start:end], j))
-        if position >= end - start or self.indices[start + position] != j:
-            return False
-        self.data[start + position] = weight
-        return True
-
-    def update_existing(self, u: Vertex, v: Vertex, weight: float) -> bool:
-        """Patch the stored weight of edge ``(u, v)`` in place.
-
-        Only *value* changes are expressible in CSR without moving the
-        arrays: the edge must already be stored and the new weight must
-        be nonzero (a zero would leave an explicit stored zero, breaking
-        ``num_edges`` and ``positive_part``).  Returns False — leaving
-        the matrix untouched — when the update is structural and the
-        caller must rebuild instead.
-        """
-        if weight == 0.0:
-            return False
-        i = self.index.get(u)
-        j = self.index.get(v)
-        if i is None or j is None:
-            return False
-        if not self._patch_position(i, j, weight):
-            return False
-        patched = self._patch_position(j, i, weight)
-        assert patched, "asymmetric CSR adjacency"  # from_graph stores both
-        return True
-
-    # ------------------------------------------------------------------
     # embedding conversions
     # ------------------------------------------------------------------
     def embedding_vector(self, embedding: Mapping[Vertex, float]) -> np.ndarray:
@@ -356,116 +323,3 @@ class CSRAdjacency:
         """Sparsify a dense vector back to ``{vertex: weight > tol}``."""
         support = np.flatnonzero(vector > tol)
         return {self.vertices[int(i)]: float(vector[i]) for i in support}
-
-
-class MutableCSRAdjacency:
-    """A :class:`Graph` with a lazily synchronised CSR view — the
-    patch-and-rebuild substrate for streaming workloads.
-
-    :class:`CSRAdjacency` is deliberately frozen; a stream of edge
-    updates would force a full O(m) rebuild per event.  This wrapper
-    amortises that:
-
-    * **Patch**: an update that only changes the *value* of a stored
-      edge is written straight into the CSR ``data`` array
-      (:meth:`CSRAdjacency.update_existing`, two O(log deg) binary
-      searches) — the hot case while a difference graph's support is
-      stable between solves.
-    * **Rebuild**: an update that changes the sparsity *structure*
-      (edge appears, edge vanishes, new vertex) only marks the view
-      stale; the next :attr:`adjacency` access rebuilds once, however
-      many structural edits accumulated — rebuilds are amortised over
-      edit bursts instead of paid per edit.
-
-    The row order is pinned at construction (and extended append-only
-    for late vertices) so downstream consumers see stable indices
-    across rebuilds.  ``patches`` / ``structural_edits`` / ``rebuilds``
-    expose the amortisation behaviour to benchmarks and tests.
-    """
-
-    __slots__ = (
-        "graph",
-        "_order",
-        "_adjacency",
-        "_stale",
-        "patches",
-        "structural_edits",
-        "rebuilds",
-    )
-
-    def __init__(
-        self, graph: Optional[Graph] = None, order: Optional[Sequence[Vertex]] = None
-    ) -> None:
-        _require_scipy()
-        self.graph = graph if graph is not None else Graph()
-        if order is not None:
-            self._order = list(order)
-            if set(self._order) != self.graph.vertex_set():
-                raise InputMismatchError(
-                    "order must contain exactly the graph's vertices"
-                )
-        else:
-            self._order = sorted(self.graph.vertices(), key=repr)
-        self._adjacency: Optional[CSRAdjacency] = None
-        self._stale = True
-        self.patches = 0
-        self.structural_edits = 0
-        self.rebuilds = 0
-
-    def set_edge(self, u: Vertex, v: Vertex, weight: float) -> None:
-        """Set the weight of ``(u, v)`` (0 deletes), syncing the CSR view.
-
-        Unknown endpoints are added to the backing graph and appended to
-        the pinned row order.
-        """
-        for vertex in (u, v):
-            if not self.graph.has_vertex(vertex):
-                self.graph.add_vertex(vertex)
-                self._order.append(vertex)
-                self._stale = True
-        old = self.graph.weight(u, v)
-        if weight == old:
-            return
-        self.graph.add_edge(u, v, weight)
-        if self._stale or self._adjacency is None:
-            # Already pending a rebuild — no patch to attempt, but keep
-            # the structural count honest for diagnostics.
-            if old == 0.0 or weight == 0.0:
-                self.structural_edits += 1
-            return
-        if old != 0.0 and self._adjacency.update_existing(u, v, weight):
-            self.patches += 1
-        else:
-            self.structural_edits += 1
-            self._stale = True
-
-    @property
-    def adjacency(self) -> CSRAdjacency:
-        """The CSR view, rebuilt now if structural edits are pending."""
-        if self._stale or self._adjacency is None:
-            self._adjacency = CSRAdjacency.from_graph(self.graph, order=self._order)
-            self._stale = False
-            self.rebuilds += 1
-        return self._adjacency
-
-    @property
-    def is_stale(self) -> bool:
-        """Whether the next :attr:`adjacency` access will rebuild."""
-        return self._stale or self._adjacency is None
-
-    @property
-    def order(self) -> List[Vertex]:
-        """The pinned vertex -> row order (a copy)."""
-        return list(self._order)
-
-    def subset_degree(self, subset: Sequence[Vertex]) -> float:
-        """``W(S)`` (each induced edge twice, Eq. 1) via the CSR view.
-
-        The vectorised scoring primitive the streaming engine uses to
-        re-validate an incumbent answer without a solve.
-        """
-        adj = self.adjacency
-        rows = np.fromiter(
-            (adj.index[v] for v in subset), dtype=np.int64, count=len(subset)
-        )
-        return float(adj.submatrix(rows).sum())

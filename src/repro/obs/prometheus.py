@@ -153,7 +153,7 @@ def _render_into(w: _Writer, snapshot: Mapping[str, Any]) -> None:
     queries = snapshot["queries"]
     w.family(
         f"{p}_queries_total", "counter",
-        "Compute outcomes (solve / batch / replay / session events).",
+        "Compute outcomes (solve / batch / session events).",
         [({"outcome": outcome}, float(queries[outcome]))
          for outcome in ("ok", "error", "timeout", "rejected")],
     )

@@ -18,7 +18,12 @@ Routes::
     POST /v1/graphs          upload an edge-list pair -> named graph
     POST /v1/solve           one dcsad/dcsga (top-k via "k") query
     POST /v1/batch           a batch of typed queries (PR-3 vocabulary)
-    POST /v1/stream/replay   replay an event log -> alerts + stats
+    POST /v1/stream/sessions open a live stream session
+
+A session's own routes (``/v1/stream/sessions/{id}``, its ``events``
+and its cursor-read ``alerts`` feed) are dispatched by prefix; event
+logs reach the service only through sessions
+(:mod:`repro.service.sessions`).
 
 Answer semantics are the engine envelope's: a ``/v1/solve`` response's
 ``result`` field is exactly the :meth:`~repro.engine.envelope.
@@ -36,17 +41,17 @@ asyncio consumers bridge the queue to a thread pool where
 per-query guard — runs the solve.  In a pool thread ``SIGALRM`` cannot
 fire, so the request deadline is enforced at the awaiting side: the
 client gets its ``504`` on time even if the solve thread runs on.
-Graph preparation (registry resolution, uploads, event-log parsing) is
-offloaded to the same pool, so the event loop — and ``/healthz`` —
-stays responsive while a large graph is synthesised.
+Graph preparation (registry resolution, uploads) is offloaded to the
+same pool, so the event loop — and ``/healthz`` — stays responsive
+while a large graph is synthesised.
 """
 
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 import logging
+import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -55,13 +60,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.batch.cache import ResultCache, cache_key
-from repro.batch.executor import (
-    BatchExecutor,
-    BatchResult,
-    execute_payload,
-    run_guarded,
-)
-from repro.batch.plan import event_log_fingerprint
+from repro.batch.executor import BatchExecutor, BatchResult, run_guarded
 from repro.batch.queries import BatchQuery, assign_qids, query_from_dict
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.registry import resolve_backend
@@ -79,7 +78,6 @@ from repro.service.sessions import (
     SessionManager,
     events_from_records,
 )
-from repro.stream.events import EventLog, read_events
 
 __all__ = [
     "ServiceApp",
@@ -173,9 +171,17 @@ def _field_optional_int(
 def _field_float(
     body: Dict[str, Any], name: str, default: float
 ) -> float:
+    """A finite number field.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; neither is a usable
+    threshold or budget (``score <= nan`` is never true), and ``NaN``
+    would be echoed back as invalid JSON.
+    """
     value = body.get(name, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputMismatchError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InputMismatchError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -309,7 +315,6 @@ class ServiceApp:
             ("POST", "/v1/graphs"): self._upload,
             ("POST", "/v1/solve"): self._solve,
             ("POST", "/v1/batch"): self._batch,
-            ("POST", "/v1/stream/replay"): self._stream_replay,
             ("POST", "/v1/stream/sessions"): self._session_create,
             ("GET", "/v1/stream/sessions"): self._session_list,
         }
@@ -398,8 +403,8 @@ class ServiceApp:
     async def _run_blocking(self, fn: Callable[[], Any]) -> Any:
         """Run blocking preparation work off the event loop.
 
-        Registry resolution, uploads and event-log parsing are CPU /
-        IO work that would otherwise freeze every in-flight request
+        Registry resolution, uploads and batch parsing are CPU / IO
+        work that would otherwise freeze every in-flight request
         (including ``/healthz``) for their duration.  Prep goes through
         the same bounded admission queue as solves — expensive work a
         request triggers *anywhere* counts against ``max_pending`` and
@@ -730,29 +735,62 @@ class ServiceApp:
             return self.timeout
         return _field_float(body, "timeout", 0.0)
 
-    async def _serve_query(
-        self,
-        fingerprint: str,
-        params: Dict[str, Any],
-        work: Callable[[], Dict[str, Any]],
-        timeout: Optional[float],
-        rebuild_hit: Callable[[Dict[str, Any]], Dict[str, Any]],
-    ) -> HttpResponse:
-        """The shared compute protocol of ``/v1/solve`` and the replay
-        route: content-addressed cache lookup, guarded execution under
-        the admission queue, cache fill, and the ok / 422 / 504 map.
+    async def _solve(self, request: HttpRequest) -> HttpResponse:
+        """One query: content-addressed cache lookup, guarded execution
+        under the admission queue, cache fill, and the ok / 422 / 504
+        map.
 
-        *work* produces the full result record; the canonical part
-        (out-of-band keys stripped) is what the cache stores, and
-        *rebuild_hit* turns a stored payload back into a response
-        record on a hit.
+        The cache stores the canonical record (out-of-band keys
+        stripped); a hit answers it with empty timings and this
+        request's provenance.
         """
+        body = request.json()
+        if not isinstance(body, dict):
+            raise HttpError(400, "solve body must be a JSON object")
+        ref = body.get("graph")
+        if not isinstance(ref, str):
+            raise HttpError(400, "solve needs a string 'graph' reference")
+        kind = str(body.get("kind", "dcsad"))
+        # Fail bad requests at admission time, not inside a worker —
+        # unknown backend names (UnknownBackendError, a ValueError) and
+        # registered-but-unavailable backends (BackendUnavailableError)
+        # both map to 400.  The *canonical* backend name goes into the
+        # params: aliases ("heap" for "python") must share one cache
+        # entry, and a cached hit must replay the same bytes a fresh
+        # solve of either spelling would produce.
+        backend_name = resolve_backend(
+            str(body.get("backend", "python"))
+        ).name
+        params: Dict[str, Any] = {
+            "kind": kind,
+            "backend": backend_name,
+            "k": _field_int(body, "k", 1),
+            "tol_scale": _field_float(body, "tol_scale", 1e-2),
+        }
+        if kind == "dcsad":
+            params["strategy"] = str(body.get("strategy", "vertices"))
+            if params["strategy"] not in ("vertices", "edges"):
+                raise HttpError(
+                    400, f"unknown removal strategy {params['strategy']!r}"
+                )
+        solve_request = SolveRequest.from_params(kind, params)
+        prepared = await self._run_blocking(
+            lambda: self.registry.resolve(ref)
+        )
+        fingerprint = prepared.fingerprint
+        timeout = self._effective_timeout(body)
         start = time.perf_counter()
         key = cache_key(fingerprint, params)
         hit = self.cache.get(key)
         if hit is not None:
             seconds = time.perf_counter() - start
             self.metrics.observe_query("ok", seconds)
+            record = dict(hit["payload"])
+            record["timings"] = {}
+            record["provenance"] = {
+                "backend": backend_name,
+                "fingerprint": fingerprint,
+            }
             return HttpResponse(
                 200,
                 {
@@ -760,12 +798,22 @@ class ServiceApp:
                     "cached": True,
                     "fingerprint": fingerprint,
                     "seconds": round(seconds, 6),
-                    "result": rebuild_hit(hit["payload"]),
+                    "result": record,
                 },
             )
+
+        def solve_work() -> Dict[str, Any]:
+            # Recording here — inside the pool thread — gives each
+            # solve its own span tree; the derived breakdown rides back
+            # in timings["phases"] and feeds the /metrics phase gauges.
+            # The canonical answer bytes are unaffected (phases are
+            # out-of-band, like solve_seconds).
+            with recording():
+                return solve(solve_request, prepared).to_record()
+
         try:
             status, value, _ = await self._submit(
-                lambda: run_guarded(work, timeout), timeout
+                lambda: run_guarded(solve_work, timeout), timeout
             )
         except ServiceDeadlineError as exc:
             status, value = "timeout", str(exc)
@@ -816,68 +864,6 @@ class ServiceApp:
             },
         )
 
-    async def _solve(self, request: HttpRequest) -> HttpResponse:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "solve body must be a JSON object")
-        ref = body.get("graph")
-        if not isinstance(ref, str):
-            raise HttpError(400, "solve needs a string 'graph' reference")
-        kind = str(body.get("kind", "dcsad"))
-        # Fail bad requests at admission time, not inside a worker —
-        # unknown backend names (UnknownBackendError, a ValueError) and
-        # registered-but-unavailable backends (BackendUnavailableError)
-        # both map to 400.  The *canonical* backend name goes into the
-        # params: aliases ("heap" for "python") must share one cache
-        # entry, and a cached hit must replay the same bytes a fresh
-        # solve of either spelling would produce.
-        backend_name = resolve_backend(
-            str(body.get("backend", "python"))
-        ).name
-        params: Dict[str, Any] = {
-            "kind": kind,
-            "backend": backend_name,
-            "k": _field_int(body, "k", 1),
-            "tol_scale": _field_float(body, "tol_scale", 1e-2),
-        }
-        if kind == "dcsad":
-            params["strategy"] = str(body.get("strategy", "vertices"))
-            if params["strategy"] not in ("vertices", "edges"):
-                raise HttpError(
-                    400, f"unknown removal strategy {params['strategy']!r}"
-                )
-        solve_request = SolveRequest.from_params(kind, params)
-        prepared = await self._run_blocking(
-            lambda: self.registry.resolve(ref)
-        )
-        fingerprint = prepared.fingerprint
-
-        def solve_work() -> Dict[str, Any]:
-            # Recording here — inside the pool thread — gives each
-            # solve its own span tree; the derived breakdown rides back
-            # in timings["phases"] and feeds the /metrics phase gauges.
-            # The canonical answer bytes are unaffected (phases are
-            # out-of-band, like solve_seconds).
-            with recording():
-                return solve(solve_request, prepared).to_record()
-
-        def rebuild_hit(payload: Dict[str, Any]) -> Dict[str, Any]:
-            record = dict(payload)
-            record["timings"] = {}
-            record["provenance"] = {
-                "backend": backend_name,
-                "fingerprint": fingerprint,
-            }
-            return record
-
-        return await self._serve_query(
-            fingerprint,
-            params,
-            solve_work,
-            self._effective_timeout(body),
-            rebuild_hit,
-        )
-
     async def _batch(self, request: HttpRequest) -> HttpResponse:
         body = request.json()
         records = body.get("queries") if isinstance(body, dict) else body
@@ -892,7 +878,7 @@ class ServiceApp:
         # registered graphs and (bounded) dataset references.  The
         # file-path vocabulary of `repro batch` (g1/g2/events) would
         # let a remote client make the server read arbitrary local
-        # files; event streams have their own inline-text route.
+        # files; event streams go to a stream session instead.
         for record in records:
             if not isinstance(record, dict):
                 raise HttpError(
@@ -904,7 +890,8 @@ class ServiceApp:
                     400,
                     f"field(s) {sorted(banned)} name server-side files; "
                     "the HTTP batch route accepts 'graph' and 'dataset' "
-                    "sources only (use /v1/stream/replay for event text)",
+                    "sources only (stream events go to a session: "
+                    "POST /v1/stream/sessions)",
                 )
             if "scale" in record:
                 scale = _field_float(record, "scale", 1.0)
@@ -973,52 +960,6 @@ class ServiceApp:
                     "timeouts": stats.timeouts,
                 },
             },
-        )
-
-    async def _stream_replay(self, request: HttpRequest) -> HttpResponse:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise HttpError(400, "replay body must be a JSON object")
-        text = body.get("events")
-        if not isinstance(text, str) or not text.strip():
-            raise HttpError(
-                400, "replay needs an 'events' field of event-file text"
-            )
-        params: Dict[str, Any] = {
-            "kind": "stream",
-            "window": _field_int(body, "window", 5),
-            "measure": str(body.get("measure", "average_degree")),
-            "policy": str(body.get("policy", "exact")),
-            "warmup": _field_optional_int(body, "warmup"),
-            "threshold": _field_float(body, "threshold", 0.0),
-            "steps": _field_optional_int(body, "steps"),
-            "backend": str(body.get("backend", "python")),
-            "tol_scale": _field_float(body, "tol_scale", 1e-2),
-        }
-        if params["measure"] not in ("average_degree", "affinity"):
-            raise HttpError(400, f"unknown measure {params['measure']!r}")
-        if params["policy"] not in ("exact", "gated"):
-            raise HttpError(400, f"unknown policy {params['policy']!r}")
-
-        def parse() -> Tuple[EventLog, str]:
-            log = read_events(io.StringIO(text))
-            if not log.universe:
-                raise InputMismatchError(
-                    "event log declares no vertices and has no events"
-                )
-            return log, event_log_fingerprint(log)
-
-        log, fingerprint = await self._run_blocking(parse)
-
-        def replay_work() -> Dict[str, Any]:
-            return execute_payload("stream", params, log)
-
-        return await self._serve_query(
-            fingerprint,
-            params,
-            replay_work,
-            self._effective_timeout(body),
-            lambda payload: payload,
         )
 
     # ------------------------------------------------------------------
@@ -1162,6 +1103,10 @@ class ServiceApp:
             wait = float(request.query.get("wait", "0"))
         except ValueError as exc:
             raise HttpError(400, f"bad query parameter: {exc}") from None
+        if not math.isfinite(wait):
+            # A NaN deadline is never reached: the poll would outlive
+            # the _MAX_LONG_POLL cap.
+            raise HttpError(400, f"bad query parameter: wait={wait}")
         deadline = time.monotonic() + min(max(wait, 0.0), _MAX_LONG_POLL)
         while True:
             alerts, next_cursor, step = self.sessions.alerts_since(

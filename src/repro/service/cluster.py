@@ -457,7 +457,7 @@ class ClusterRouter:
         ref = self._graph_ref(request)
         if ref is not None:
             return self._workers[_shard(ref, n)]
-        if path in ("/v1/stream/replay", "/v1/stream/sessions"):
+        if path == "/v1/stream/sessions":
             # No graph affinity: spread the load.
             return self._workers[next(self._rr) % n]
         # Everything else (including unknown paths and malformed

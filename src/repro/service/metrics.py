@@ -73,7 +73,7 @@ class ServiceMetrics:
         self.requests_total = 0
         self.requests_by_route: Dict[str, int] = {}
         self.responses_by_status: Dict[int, int] = {}
-        #: outcomes of compute requests (solve / batch / replay)
+        #: outcomes of compute requests (solve / batch / session events)
         self.queries_ok = 0
         self.queries_error = 0
         self.queries_timeout = 0

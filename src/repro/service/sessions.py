@@ -1,13 +1,13 @@
 """Multi-tenant live stream sessions — the resident monitoring surface.
 
-``/v1/stream/replay`` answers "what would the engine have said over
-this finished log?"; a *session* answers it live: a tenant creates one
+A *session* is the service's stream path: a tenant creates one
 (:class:`SessionManager.create`), posts event batches as its network
 produces them, and polls the accumulated alert feed by cursor.  Each
 session wraps one :class:`~repro.stream.engine.StreamingDCSEngine`
 (window, measure, policy, ``k`` incumbents — the full engine
 vocabulary), so the paper's anomaly-monitoring story runs resident
-instead of per-request.
+instead of per-request.  Posting a finished log in batches leaves the
+feed :func:`~repro.stream.engine.replay_events` gives on that log.
 
 Isolation is the design centre:
 

@@ -35,8 +35,7 @@ them differently:
   regress below a carried answer).
 * **events elsewhere** → the incumbent's subset is still the local
   optimum it was; its score is refreshed by an O(|S| + vol S)
-  **re-score** (a CSR submatrix sum on the sparse backend — this is
-  where the patch-and-rebuild mirror earns its keep), and a **local
+  **re-score** on the maintained difference graph, and a **local
   probe** solves only the evented neighbourhood, holding the incumbent
   unless the probe finds a challenger (→ full solve).
 * **decay / drift fallbacks**: the incumbent is dropped and re-solved
@@ -280,8 +279,6 @@ class EngineStats:
     rescores: int = 0
     warm_start_wins: int = 0
     drift_fallbacks: int = 0
-    csr_patches: int = 0
-    csr_rebuilds: int = 0
 
 
 #: How many recent per-step profiles an engine retains.
@@ -340,10 +337,9 @@ class StreamingDCSEngine:
     warmup:
         Steps to observe before emitting alerts (default: *window*).
     backend:
-        ``"python"`` or ``"sparse"`` — forwarded to the solvers; with
-        ``"sparse"`` the engine also keeps a patch-and-rebuild
-        :class:`~repro.graph.sparse.MutableCSRAdjacency` mirror of the
-        difference graph for vectorised incumbent re-scoring.
+        ``"python"`` or ``"sparse"`` — forwarded to the solvers.  The
+        maintained difference graph and incumbent re-scoring are the
+        same on every backend.
     policy:
         ``"exact"`` (cache + full solve; parity with batch recompute) or
         ``"gated"`` (incumbent-neighbourhood gating, local probes,
@@ -393,8 +389,7 @@ class StreamingDCSEngine:
             raise ValueError(f"unknown measure {measure!r}")
         # Unknown names, missing dependencies and solver-incapable
         # backends all fail here — never at some later dirty step.
-        solver_backend = get_backend(backend)
-        solver_backend.require_capabilities(
+        get_backend(backend).require_capabilities(
             "peel" if measure == "average_degree" else "new_sea"
         )
         if policy not in ("exact", "gated"):
@@ -437,19 +432,8 @@ class StreamingDCSEngine:
         #: score of the full solve that installed the incumbent
         self._anchor_score = 0.0
 
-        self._mirror = None
-        if solver_backend.supports_shared_adjacency:
-            from repro.graph.sparse import MutableCSRAdjacency
-
-            base = Graph()
-            base.add_vertices(self.universe)
-            self._mirror = MutableCSRAdjacency(
-                base, order=sorted(self.universe, key=repr)
-            )
-            self._diff = self._mirror.graph
-        else:
-            self._diff = Graph()
-            self._diff.add_vertices(self.universe)
+        self._diff = Graph()
+        self._diff.add_vertices(self.universe)
 
     # ------------------------------------------------------------------
     # introspection
@@ -601,16 +585,10 @@ class StreamingDCSEngine:
             old = self._diff.weight(u, v)
             if value == old:
                 continue
-            if self._mirror is not None:
-                self._mirror.set_edge(u, v, value)
-            else:
-                self._diff.add_edge(u, v, value)
+            self._diff.add_edge(u, v, value)
             self._dirty.touch(u, v)
             self.stats.diff_edits += 1
         self.stats.steps += 1
-        if self._mirror is not None:
-            self.stats.csr_patches = self._mirror.patches
-            self.stats.csr_rebuilds = self._mirror.rebuilds
         if t < self.warmup:
             # Pre-warmup closes still settle the deltas, but nothing is
             # solved or emitted (the expectation is not trusted yet).
@@ -863,21 +841,16 @@ class StreamingDCSEngine:
         """Re-evaluate a carried answer's score on the current difference.
 
         Average degree: the exact ``W(S) / |S|`` of the held subset on
-        the updated graph (vectorised through the CSR mirror when the
-        sparse backend is active — the patched ``data`` array makes this
-        a submatrix sum, no rebuild).  Affinity: ``x^T D x`` with the
-        carried embedding — exact for the carried ``x``, a lower bound
-        on what a re-optimised embedding would score.
+        the updated graph.  Affinity: ``x^T D x`` with the carried
+        embedding — exact for the carried ``x``, a lower bound on what
+        a re-optimised embedding would score.
         """
         if incumbent.empty:
             return None
         self.stats.rescores += 1
         subset = incumbent.subset
         if self.measure == "average_degree":
-            if self._mirror is not None:
-                total = self._mirror.subset_degree(sorted(subset, key=repr))
-            else:
-                total = self._diff.total_degree(subset)
+            total = self._diff.total_degree(subset)
             return SolveOutcome(subset=subset, score=total / len(subset))
         x = incumbent.x or {}
         score = 0.0

@@ -11,7 +11,6 @@ from repro.core.initialization import (
     smart_initialization_plan,
 )
 from repro.graph.cliques import maximal_cliques
-from repro.graph.cores import core_numbers
 from repro.graph.generators import complete_graph, random_signed_graph, star_graph
 from repro.graph.graph import Graph
 
@@ -91,17 +90,6 @@ class TestPlan:
         plan = smart_initialization_plan(graph)
         assert set(plan.order) == graph.vertex_set()
         assert set(plan.mu) == graph.vertex_set()
-
-    def test_core_numbers_match_module(self):
-        graph = random_signed_graph(20, 0.3, seed=5).positive_part()
-        plan = smart_initialization_plan(graph)
-        assert plan.core_number == core_numbers(graph)
-
-    def test_candidates_above(self):
-        graph = star_graph(3)
-        plan = smart_initialization_plan(graph)
-        assert plan.candidates_above(-1.0) == 4
-        assert plan.candidates_above(10.0) == 0
 
     def test_star_bounds(self):
         """Star: tau = 1 everywhere, w = 1 -> mu = 0.5 (an edge's affinity)."""

@@ -25,7 +25,6 @@ from repro.exceptions import InputMismatchError
 from repro.graph.generators import random_signed_graph
 from repro.graph.io import write_edge_list
 from repro.service import GraphRegistry, LatencyWindow, ServiceApp
-from repro.stream.events import EdgeEvent, EventLog, write_events
 
 
 # ----------------------------------------------------------------------
@@ -60,18 +59,6 @@ def app(pair_texts):
     )
     assert status == 200
     return app
-
-
-@pytest.fixture
-def events_text():
-    events = [
-        EdgeEvent(t, "a", "b", 1.0 + (4.0 if 6 <= t <= 7 else 0.0))
-        for t in range(10)
-    ]
-    log = EventLog(events=events, declared={"a", "b", "c"})
-    buffer = io.StringIO()
-    write_events(log, buffer)
-    return buffer.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +261,16 @@ class TestSolveRoute:
             )[0]
             == 400
         )
+        # json.loads accepts NaN and Infinity; the service must not.
+        for value in (float("nan"), float("inf")):
+            assert (
+                app.request(
+                    "POST",
+                    "/v1/solve",
+                    {"graph": "uploaded", "timeout": value},
+                )[0]
+                == 400
+            )
 
     def test_unknown_graph_is_404(self, app):
         status, body = app.request(
@@ -353,7 +350,7 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
-# batch and replay routes
+# the batch route
 # ----------------------------------------------------------------------
 class TestBatchRoute:
     def test_graph_refs_and_dedup(self, app):
@@ -441,58 +438,6 @@ class TestBatchRoute:
     def test_empty_batch_rejected(self, app):
         assert app.request("POST", "/v1/batch", [])[0] == 400
         assert app.request("POST", "/v1/batch", {"queries": []})[0] == 400
-
-
-class TestStreamReplayRoute:
-    def test_replay_and_cache(self, app, events_text):
-        request = {"events": events_text, "window": 3, "threshold": 1.0}
-        status, body = app.request("POST", "/v1/stream/replay", request)
-        assert status == 200 and body["status"] == "ok"
-        assert body["result"]["alerts"]
-        assert body["result"]["stats"]["steps"] == 10
-        status, again = app.request("POST", "/v1/stream/replay", request)
-        assert again["cached"] is True
-        assert again["result"] == body["result"]
-
-    def test_replay_matches_cli_replay_semantics(self, app, events_text):
-        from repro.stream.engine import replay_events
-        from repro.stream.events import read_events
-
-        log = read_events(io.StringIO(events_text))
-        alerts, _ = replay_events(
-            log,
-            n_steps=None,
-            window=3,
-            measure="average_degree",
-            warmup=None,
-            backend="python",
-            policy="exact",
-            min_score=1.0,
-            tol_scale=1e-2,
-        )
-        _, body = app.request(
-            "POST",
-            "/v1/stream/replay",
-            {"events": events_text, "window": 3, "threshold": 1.0},
-        )
-        served = body["result"]["alerts"]
-        assert [a["step"] for a in served] == [a.step for a in alerts]
-        assert [a["score"] for a in served] == [a.score for a in alerts]
-
-    def test_validation(self, app):
-        assert app.request("POST", "/v1/stream/replay", {})[0] == 400
-        assert (
-            app.request("POST", "/v1/stream/replay", {"events": "  "})[0]
-            == 400
-        )
-        assert (
-            app.request(
-                "POST",
-                "/v1/stream/replay",
-                {"events": "0 a b 1.0\n", "policy": "nope"},
-            )[0]
-            == 400
-        )
 
 
 # ----------------------------------------------------------------------

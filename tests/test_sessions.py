@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.datasets.streaming import burst_event_stream
 from repro.engine.registry import (
     SolverBackend,
     get_backend,
@@ -26,9 +27,10 @@ from repro.engine.registry import (
 )
 from repro.graph.generators import random_signed_graph
 from repro.graph.io import write_edge_list
+from repro.graph.sparse import scipy_available
 from repro.service import GraphRegistry, ServiceApp
 from repro.service.sessions import SessionFailedError, SessionManager
-from repro.stream.engine import snapshot_recompute
+from repro.stream.engine import replay_events, snapshot_recompute
 from repro.stream.events import EdgeEvent
 
 UNIVERSE = ["a", "b", "c", "d"]
@@ -220,6 +222,10 @@ class TestSessionLifecycle:
             {"k": 0},
             {"window": 0},
             {"k": "three"},
+            # A NaN floor would pass every answer (score <= nan is
+            # False) and be echoed back in the config as invalid JSON.
+            {"threshold": float("nan")},
+            {"threshold": float("inf")},
         ],
     )
     def test_create_rejects_bad_config(self, app, bad):
@@ -340,6 +346,63 @@ class TestIngestion:
         assert status == 200
         seen.extend(payload["alerts"])
         assert feed_keys(seen) == reference_keys(records, n_steps=12)
+
+    @pytest.mark.parametrize("measure", ["average_degree", "affinity"])
+    @pytest.mark.parametrize("policy", ["exact", "gated"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "sparse",
+                marks=pytest.mark.skipif(
+                    not scipy_available(), reason="sparse needs SciPy"
+                ),
+            ),
+        ],
+    )
+    def test_feed_equals_replay_events(self, app, backend, policy, measure):
+        """A log posted through a session in chunks leaves the feed
+        that replay_events gives on the same log, entry for entry."""
+        stream = burst_event_stream(n_vertices=80, n_steps=24, seed=5)
+        config = {
+            "window": 4,
+            "measure": measure,
+            "policy": policy,
+            "backend": backend,
+        }
+        sid = create_session(app, universe=stream.universe, **config)
+        records = [
+            {"t": e.t, "u": e.u, "v": e.v, "w": e.w}
+            for e in stream.log.events
+        ]
+        chunks = [records[i : i + 37] for i in range(0, len(records), 37)]
+        for index, chunk in enumerate(chunks):
+            body = {"events": chunk}
+            if index == len(chunks) - 1:
+                body["advance_to"] = stream.n_steps
+            status, payload = app.request(
+                "POST", f"/v1/stream/sessions/{sid}/events", body
+            )
+            assert status == 200, payload
+        status, payload = app.request(
+            "GET", f"/v1/stream/sessions/{sid}/alerts"
+        )
+        assert status == 200
+        expected, _ = replay_events(
+            stream.log,
+            n_steps=stream.n_steps,
+            universe=stream.universe,
+            **config,
+        )
+        assert len(expected) > 0
+        assert [
+            (a["step"], a["subset"], a["score"], a["source"])
+            for a in payload["alerts"]
+        ] == [
+            (a.step, sorted(str(v) for v in a.subset), a.score, a.source)
+            for a in expected
+        ]
 
     def test_advance_to_closes_silent_steps(self, app):
         sid = create_session(app)
@@ -554,6 +617,22 @@ class TestAlertCursor:
             "GET", f"/v1/stream/sessions/{sid}/alerts?cursor=abc"
         )
         assert status == 400
+
+    @pytest.mark.parametrize("wait", ["nan", "inf"])
+    def test_non_finite_wait_400(self, app, wait):
+        """A NaN deadline is never reached, so the poll would ignore
+        the long-poll cap; the route must refuse it at once."""
+        sid = create_session(app)
+
+        async def poll():
+            return await asyncio.wait_for(
+                app.dispatch(
+                    "GET", f"/v1/stream/sessions/{sid}/alerts?wait={wait}"
+                ),
+                2.0,
+            )
+
+        assert asyncio.run(poll()).status == 400
 
     def test_alerts_for_missing_session_404(self, app):
         status, _ = app.request("GET", "/v1/stream/sessions/s-1/alerts")

@@ -417,8 +417,6 @@ class TestPlanParity:
         sp = smart_initialization_plan(gp, backend="sparse")
         # max/div arithmetic only: the bounds are bitwise identical.
         assert sp.mu == py.mu
-        assert sp.ego_max_weight == py.ego_max_weight
-        assert sp.core_number == py.core_number
         assert sp.order == py.order
 
     def test_edgeless_graph(self):

@@ -549,92 +549,6 @@ class TestSolveDifference:
 
 
 # ----------------------------------------------------------------------
-# mutable CSR adjacency (patch-and-rebuild)
-# ----------------------------------------------------------------------
-@needs_scipy
-class TestMutableCSR:
-    def _assert_matches_fresh(self, mutable):
-        import numpy as np
-
-        from repro.graph.sparse import CSRAdjacency
-
-        fresh = CSRAdjacency.from_graph(mutable.graph, order=mutable.order)
-        current = mutable.adjacency
-        assert current.n == fresh.n
-        assert current.num_edges == fresh.num_edges
-        assert np.array_equal(
-            current.matrix.toarray(), fresh.matrix.toarray()
-        )
-
-    def test_value_updates_patch_in_place(self, signed_graph):
-        from repro.graph.sparse import MutableCSRAdjacency
-
-        mutable = MutableCSRAdjacency(signed_graph.copy())
-        before = mutable.adjacency
-        mutable.set_edge("a", "b", 7.0)
-        mutable.set_edge("c", "d", -1.0)
-        assert mutable.patches == 2
-        assert not mutable.is_stale
-        assert mutable.adjacency is before  # no rebuild happened
-        self._assert_matches_fresh(mutable)
-
-    def test_structural_updates_rebuild_lazily(self, signed_graph):
-        from repro.graph.sparse import MutableCSRAdjacency
-
-        mutable = MutableCSRAdjacency(signed_graph.copy())
-        mutable.adjacency
-        rebuilds = mutable.rebuilds
-        mutable.set_edge("b", "e", 2.0)  # new edge
-        mutable.set_edge("a", "b", 0.0)  # deletion
-        assert mutable.is_stale
-        assert mutable.rebuilds == rebuilds  # amortised: not yet rebuilt
-        self._assert_matches_fresh(mutable)
-        assert mutable.rebuilds == rebuilds + 1
-        assert mutable.structural_edits == 2
-
-    def test_new_vertex_extends_order(self, triangle):
-        from repro.graph.sparse import MutableCSRAdjacency
-
-        mutable = MutableCSRAdjacency(triangle.copy())
-        mutable.adjacency
-        mutable.set_edge("a", "zz", 1.0)
-        adj = mutable.adjacency
-        assert "zz" in adj.index
-        self._assert_matches_fresh(mutable)
-
-    def test_noop_update_costs_nothing(self, triangle):
-        from repro.graph.sparse import MutableCSRAdjacency
-
-        mutable = MutableCSRAdjacency(triangle.copy())
-        mutable.adjacency
-        mutable.set_edge("a", "b", 1.0)  # already this weight
-        assert mutable.patches == 0 and not mutable.is_stale
-
-    def test_subset_degree_matches_graph(self, signed_graph):
-        from repro.graph.sparse import MutableCSRAdjacency
-
-        mutable = MutableCSRAdjacency(signed_graph.copy())
-        subset = ["a", "b", "c"]
-        assert mutable.subset_degree(subset) == pytest.approx(
-            signed_graph.total_degree(subset)
-        )
-        mutable.set_edge("a", "b", 10.0)
-        assert mutable.subset_degree(subset) == pytest.approx(
-            mutable.graph.total_degree(subset)
-        )
-
-    def test_update_existing_rejects_structural(self, triangle):
-        from repro.graph.sparse import CSRAdjacency
-
-        adj = CSRAdjacency.from_graph(triangle)
-        assert not adj.update_existing("a", "b", 0.0)  # zero is structural
-        assert not adj.update_existing("a", "zz", 1.0)  # unknown vertex
-        assert adj.update_existing("a", "b", 4.0)
-        assert adj.matrix[adj.index["a"], adj.index["b"]] == 4.0
-        assert adj.matrix[adj.index["b"], adj.index["a"]] == 4.0
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 class TestStreamCLI:
