@@ -277,10 +277,13 @@ def execute_payload(
 # ----------------------------------------------------------------------
 # worker-side shared state
 # ----------------------------------------------------------------------
+Payload = Union[Graph, EventLog, PreparedGraph]
+
 #: fingerprint -> prepared payload (Graph, EventLog or an
 #: already-built PreparedGraph stub riding a shared-memory segment),
-#: set at pool init.
-_SHARED_PAYLOADS: Dict[str, Union[Graph, EventLog, PreparedGraph]] = {}
+#: set at pool init.  Pool workers only: a serial run keeps its own
+#: tables, so concurrent serial runs never see or clear each other's.
+_SHARED_PAYLOADS: Dict[str, Payload] = {}
 #: fingerprint -> PreparedGraph (GD+ / CSR context), built lazily per
 #: process — one preparation serves every query on the fingerprint,
 #: DCSAD and DCSGA alike.
@@ -288,22 +291,23 @@ _SHARED_PREPARED: Dict[str, PreparedGraph] = {}
 
 
 def _worker_init(
-    payloads: Dict[str, Union[Graph, EventLog, PreparedGraph]],
-    warm: Tuple[str, ...] = (),
+    payloads: Dict[str, Payload], warm: Tuple[str, ...] = ()
 ) -> None:
-    """Pool initializer: receive the shared prep table once per worker.
-
-    *warm* names the backends this run's queries will use; each
-    available one is warmed **here** — once per worker process — so a
-    JIT-compiling backend (``native``) pays its compilation at pool
-    start instead of silently re-paying it inside the first query's
-    (timed, timeout-budgeted) solve.  Unknown or unavailable names are
-    ignored: warming is an optimisation, and the query itself will
-    raise the precise error if the backend truly cannot run.
-    """
+    """Pool initializer: receive the shared prep table once per worker."""
     _SHARED_PAYLOADS.clear()
     _SHARED_PAYLOADS.update(payloads)
     _SHARED_PREPARED.clear()
+    _warm_backends(warm)
+
+
+def _warm_backends(warm: Tuple[str, ...]) -> None:
+    """Warm the backends a run's queries will use, once per process.
+
+    A JIT-compiling backend (``native``) then compiles before the first
+    query instead of inside its timed, timeout-budgeted solve.  Unknown
+    or unavailable names are skipped: the query itself raises the
+    precise error if the backend truly cannot run.
+    """
     from repro.engine.registry import get_backend
     from repro.exceptions import UnknownBackendError
 
@@ -317,7 +321,9 @@ def _worker_init(
 
 
 def _shared_prepared(
-    fingerprint: str, graph: Union[Graph, PreparedGraph]
+    fingerprint: str,
+    graph: Union[Graph, PreparedGraph],
+    table: Dict[str, PreparedGraph],
 ) -> PreparedGraph:
     """The :class:`PreparedGraph` of a fingerprint, created once.
 
@@ -329,13 +335,13 @@ def _shared_prepared(
     warm registry object, or its shared-memory stub unpickled at pool
     init) is adopted directly — nothing is rebuilt.
     """
-    prepared = _SHARED_PREPARED.get(fingerprint)
+    prepared = table.get(fingerprint)
     if prepared is None:
         if isinstance(graph, PreparedGraph):
             prepared = graph
         else:
             prepared = PreparedGraph(graph, fingerprint=fingerprint)
-        _SHARED_PREPARED[fingerprint] = prepared
+        table[fingerprint] = prepared
     return prepared
 
 
@@ -423,16 +429,19 @@ def run_guarded(
 
 
 def _run_spec(
-    spec: _QuerySpec, timeout: Optional[float] = None
+    spec: _QuerySpec,
+    timeout: Optional[float] = None,
+    payloads: Dict[str, Payload] = _SHARED_PAYLOADS,
+    prepared_table: Dict[str, PreparedGraph] = _SHARED_PREPARED,
 ) -> Tuple[str, Any, float, Optional[Dict[str, float]]]:
-    """Execute one work order against the shared tables.
+    """Execute one work order against a payload and a prepared table.
 
-    Runs in a worker process (pooled mode) or in the submitting process
-    (serial mode) — either way the executing process's main thread, so
-    :func:`run_guarded` enforces *timeout* with a real ``SIGALRM``
-    interrupt where the platform allows.  The shared-table lookups (and
-    the lazy per-fingerprint preparation) happen inside the guarded
-    work, so preparation time counts against the query's budget.
+    Runs in a worker process on the tables its initializer installed
+    (the defaults), or in the submitting process on a serial run's own
+    tables.  In a pool worker, or on the main thread, :func:`run_guarded`
+    enforces *timeout* with a real ``SIGALRM`` interrupt where the
+    platform allows.  The lazy per-fingerprint preparation happens
+    inside the guarded work, so it counts against the query's budget.
 
     Graph queries run under a recording tracer *in the executing
     process*; the span tree never crosses the pool boundary — only the
@@ -440,12 +449,14 @@ def _run_spec(
     on failure and for stream replays, whose per-step solves stay on
     the no-op hot path by design).
     """
-    payload = _SHARED_PAYLOADS[spec.fingerprint]
+    payload = payloads[spec.fingerprint]
 
     def work() -> Dict[str, Any]:
         prepared = None
         if isinstance(payload, (Graph, PreparedGraph)):
-            prepared = _shared_prepared(spec.fingerprint, payload)
+            prepared = _shared_prepared(
+                spec.fingerprint, payload, prepared_table
+            )
         return execute_payload(
             spec.kind, spec.params, payload, prepared=prepared
         )
@@ -523,7 +534,7 @@ class BatchExecutor:
         queries = assign_qids(queries)
         plan = BatchPlan(queries)
         preps = plan.run_preps()
-        payload_table: Dict[str, Union[Graph, EventLog, PreparedGraph]] = {
+        payload_table: Dict[str, Payload] = {
             prep.fingerprint: prep.payload
             for prep in preps.values()
             if prep.payload is not None
@@ -718,28 +729,27 @@ class BatchExecutor:
 
     def _run_serial(
         self,
-        payload_table: Dict[str, Union[Graph, EventLog]],
+        payload_table: Dict[str, Payload],
         pending: Sequence[Tuple[int, _QuerySpec, Optional[float]]],
         results: List[Optional[BatchResult]],
         warm: Tuple[str, ...] = (),
     ) -> None:
-        _worker_init(payload_table, warm)
-        try:
-            for position, spec, timeout in pending:
-                self._collect(
-                    position, spec, results,
-                    lambda spec=spec, timeout=timeout: _run_spec(
-                        spec, timeout
-                    ),
-                )
-        finally:
-            # Serial mode borrows the worker tables in *this* process;
-            # release the graphs/CSR buffers once the run is over.
-            _worker_init({})
+        # The run owns its tables (never the pool-worker globals), so a
+        # serial run in another thread cannot swap or clear them; the
+        # graphs and CSR buffers are released when the run returns.
+        _warm_backends(warm)
+        prepared_table: Dict[str, PreparedGraph] = {}
+        for position, spec, timeout in pending:
+            self._collect(
+                position, spec, results,
+                lambda spec=spec, timeout=timeout: _run_spec(
+                    spec, timeout, payload_table, prepared_table
+                ),
+            )
 
     def _run_pooled(
         self,
-        payload_table: Dict[str, Union[Graph, EventLog]],
+        payload_table: Dict[str, Payload],
         pending: Sequence[Tuple[int, _QuerySpec, Optional[float]]],
         results: List[Optional[BatchResult]],
         warm: Tuple[str, ...] = (),

@@ -547,6 +547,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.batch.cache import ResultCache
     from repro.service import ServiceApp
 
+    if args.workers < 1:
+        raise SystemExit("--workers must be >= 1")
     if args.log_level is not None or args.access_log:
         from repro.obs.logs import configure_logging
 
@@ -595,7 +597,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
         app = ServiceApp(
             cache=cache,
-            workers=args.workers,
             max_pending=args.max_pending,
             timeout=args.timeout,
             warm_capacity=args.warm_capacity,
@@ -606,7 +607,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             access_log=args.access_log,
             slow_query_seconds=args.slow_query,
         )
-    except (ValueError, OSError) as exc:  # bad --workers, cache dir, ...
+    except (ValueError, OSError) as exc:  # bad --max-pending, cache dir, ...
         raise SystemExit(str(exc))
 
     from repro.engine.registry import warm_backends

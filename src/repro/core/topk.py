@@ -14,8 +14,9 @@ constructions:
   (disjoint answers) or delete only the found edges (overlapping answers
   allowed, the found structure itself suppressed).
 
-Both return results in decreasing objective order and stop early when the
-graph runs out of positive structure.
+Both return results in decreasing objective order, ranks numbered from 0
+in that order, and stop early when the graph runs out of positive
+structure.
 """
 
 from __future__ import annotations
@@ -148,14 +149,18 @@ def top_k_dcsad(
     fails to remove anything — with ``strategy="edges"`` an answer can
     re-surface structure whose induced edges are already gone, and such
     a round makes no progress.
+
+    Answers come back by decreasing density (a stable sort, ranks
+    renumbered): a later round, run on the residual, can beat an
+    earlier one.
     """
     if k <= 0:
         raise ValueError("k must be positive")
     if strategy not in ("vertices", "edges"):
         raise ValueError(f"unknown removal strategy {strategy!r}")
-    ranked: List[RankedDCS] = []
+    found: List[DCSADResult] = []
     work = gd.copy()
-    for rank in range(k):
+    for _ in range(k):
         if work.num_vertices == 0:
             break
         heaviest = work.max_weight_edge()
@@ -169,14 +174,12 @@ def top_k_dcsad(
         work, removed = _remove_found(work, result.subset, strategy)
         if removed == 0:
             break
-        ranked.append(
-            RankedDCS(
-                rank=rank,
-                subset=set(result.subset),
-                objective=result.density,
-            )
-        )
-    return ranked
+        found.append(result)
+    found.sort(key=lambda answer: -answer.density)
+    return [
+        RankedDCS(rank=rank, subset=set(answer.subset), objective=answer.density)
+        for rank, answer in enumerate(found)
+    ]
 
 
 def coverage(results: List[RankedDCS]) -> Set[Vertex]:

@@ -19,6 +19,9 @@ for the same two solvers.  This module is the common envelope:
   ``detail``, plus ``timings`` and ``provenance`` that are excluded
   from the canonical JSON (so byte-identity across serial / pooled /
   cached executions is a property of the *answer*, not the wall clock).
+  ``ranked`` holds the raw :class:`~repro.core.topk.RankedDCS` rows
+  (one row when ``k=1``) for in-process consumers such as the stream
+  engine; it is not part of the JSON either.
 * :func:`solve` — run a request against a
   :class:`~repro.engine.prepared.PreparedGraph`, reusing its shared
   ``GD+`` and frozen CSR adjacencies.
@@ -47,6 +50,7 @@ from repro.engine.prepared import PreparedGraph
 from repro.engine.registry import resolve_backend
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.topk import RankedDCS
     from repro.graph.graph import Vertex
 
 #: Contrast measures and the algorithm each selects.
@@ -122,6 +126,9 @@ class SolveResult:
     kkt: Optional[Dict[str, bool]] = None
     embedding: Optional[Dict["Vertex", float]] = None
     detail: Dict[str, Any] = field(default_factory=dict)
+    #: the raw answers, best first (one row when ``k=1``); in-process
+    #: only — neither :meth:`payload` nor the cache carries them
+    ranked: List["RankedDCS"] = field(default_factory=list)
     #: flat ``solve_seconds`` always; ``phases`` (name → self-time
     #: seconds) when the solve ran under a recording tracer
     timings: Dict[str, Any] = field(default_factory=dict)
@@ -215,7 +222,7 @@ def _solve_average_degree(
     request: SolveRequest, prepared: PreparedGraph
 ) -> SolveResult:
     from repro.core.dcsad import dcs_greedy
-    from repro.core.topk import top_k_dcsad
+    from repro.core.topk import RankedDCS, top_k_dcsad
 
     if request.k <= 1:
         answer = dcs_greedy(
@@ -235,6 +242,7 @@ def _solve_average_degree(
                 "connected": answer.connected,
                 "candidate_densities": dict(answer.candidate_densities),
             },
+            ranked=[RankedDCS(0, set(answer.subset), answer.density)],
         )
     ranked = top_k_dcsad(
         prepared.gd,
@@ -258,6 +266,7 @@ def _solve_average_degree(
                 for item in ranked
             ]
         },
+        ranked=ranked,
     )
 
 
@@ -265,7 +274,7 @@ def _solve_affinity(
     request: SolveRequest, prepared: PreparedGraph
 ) -> SolveResult:
     from repro.core.newsea import new_sea
-    from repro.core.topk import top_k_dcsga
+    from repro.core.topk import RankedDCS, top_k_dcsga
 
     backend = resolve_backend(request.backend)
     gd_plus = prepared.gd_plus
@@ -289,19 +298,23 @@ def _solve_affinity(
                 ),
                 "is_positive_clique": answer.is_positive_clique,
             }
+        embedding = dict(answer.x)
         return SolveResult(
             measure=request.measure,
             params=request.params(),
             subset=frozenset(answer.support),
             density=answer.objective,
             kkt=kkt,
-            embedding=dict(answer.x),
+            embedding=embedding,
             detail={
                 "embedding": _embedding_json(answer.x),
                 "is_positive_clique": answer.is_positive_clique,
                 "initializations": answer.initializations,
                 "expansion_errors": answer.expansion_errors,
             },
+            ranked=[
+                RankedDCS(0, set(answer.support), answer.objective, embedding)
+            ],
         )
     ranked = top_k_dcsga(
         gd_plus,
@@ -328,4 +341,5 @@ def _solve_affinity(
                 for item in ranked
             ]
         },
+        ranked=ranked,
     )

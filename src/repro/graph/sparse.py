@@ -27,7 +27,7 @@ succeeds, and only *using* the sparse backend raises
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 try:  # pragma: no cover - exercised implicitly on import
     import numpy as np
@@ -132,25 +132,16 @@ class CSRAdjacency:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(
-        cls, graph: Graph, order: Optional[Sequence[Vertex]] = None
-    ) -> "CSRAdjacency":
+    def from_graph(cls, graph: Graph) -> "CSRAdjacency":
         """Freeze *graph* into CSR form.
 
-        *order* fixes the vertex -> row-index assignment; by default
-        vertices are sorted by ``repr`` (the same deterministic order the
-        dense :func:`~repro.graph.matrices.affinity_matrix` uses, and the
+        Row indices follow the vertices sorted by ``repr`` (the same
+        deterministic order the dense
+        :func:`~repro.graph.matrices.affinity_matrix` uses, and the
         tie-break order of the python backend's initialisation plan).
         """
         _require_scipy()
-        if order is None:
-            vertices = sorted(graph.vertices(), key=repr)
-        else:
-            vertices = list(order)
-            if set(vertices) != graph.vertex_set():
-                raise InputMismatchError(
-                    "order must contain exactly the graph's vertices"
-                )
+        vertices = sorted(graph.vertices(), key=repr)
         index = {v: i for i, v in enumerate(vertices)}
         n = len(vertices)
         rows: List[int] = []

@@ -35,15 +35,16 @@ solve.
 
 Admission control: compute requests enter a bounded
 :class:`asyncio.Queue`; a full queue means an immediate ``429`` (and a
-``rejected`` counter tick) instead of unbounded buffering.  ``workers``
-asyncio consumers bridge the queue to a thread pool where
-:func:`~repro.batch.executor.run_guarded` — the batch executor's own
-per-query guard — runs the solve.  In a pool thread ``SIGALRM`` cannot
-fire, so the request deadline is enforced at the awaiting side: the
-client gets its ``504`` on time even if the solve thread runs on.
-Graph preparation (registry resolution, uploads) is offloaded to the
-same pool, so the event loop — and ``/healthz`` — stays responsive
-while a large graph is synthesised.
+``rejected`` counter tick) instead of unbounded buffering.  One
+asyncio consumer bridges the queue to a thread pool, one job at a
+time (solvers are GIL-bound; ``repro serve --workers N`` scales out),
+where :func:`~repro.batch.executor.run_guarded` — the batch
+executor's own per-query guard — runs the solve.  In a pool thread
+``SIGALRM`` cannot fire, so the request deadline is enforced at the
+awaiting side: the client gets its ``504`` on time even if the solve
+thread runs on.  Graph preparation (registry resolution, uploads) is
+offloaded to the same pool, so the event loop — and ``/healthz`` —
+stays responsive while a large graph is synthesised.
 """
 
 from __future__ import annotations
@@ -202,20 +203,13 @@ class ServiceApp:
         Share or inject state; fresh instances by default.  Pass a
         directory-backed :class:`~repro.batch.cache.ResultCache` to
         persist answers across restarts.
-    workers:
-        Concurrent solves (asyncio consumers = pool threads).  Solvers
-        are pure-Python and GIL-bound, so the default of 1 gives honest
-        FIFO latency; raise it when solves block on little CPU.
     max_pending:
         Bound of the admission queue; a full queue answers 429.
     timeout:
         Default per-request solve budget in seconds (a request's own
         ``timeout`` field overrides it); ``None`` = unbounded.  On
         ``/v1/batch`` the budget is per query, so the request deadline
-        is ``timeout x len(queries)``.
-    batch_workers / batch_mode:
-        Forwarded to the :class:`~repro.batch.executor.BatchExecutor`
-        serving ``/v1/batch`` submissions.
+        is ``timeout x len(queries)``, and its queries run serially.
     warm_capacity / scale:
         Shape the default :class:`GraphRegistry` (ignored when a
         registry is injected).
@@ -254,11 +248,8 @@ class ServiceApp:
         registry: Optional[GraphRegistry] = None,
         cache: Optional[ResultCache] = None,
         *,
-        workers: int = 1,
         max_pending: int = 32,
         timeout: Optional[float] = None,
-        batch_workers: int = 1,
-        batch_mode: str = "serial",
         warm_capacity: int = 8,
         scale: float = 0.25,
         max_sessions: int = 32,
@@ -270,8 +261,6 @@ class ServiceApp:
         shm_store: Optional[Any] = None,
         on_export: Optional[Callable[[str, str, str], None]] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.worker_id = worker_id
@@ -294,11 +283,8 @@ class ServiceApp:
             sid_prefix="s" if worker_id is None else f"w{worker_id}",
         )
         self.metrics = ServiceMetrics()
-        self.workers = workers
         self.max_pending = max_pending
         self.timeout = timeout
-        self.batch_workers = batch_workers
-        self.batch_mode = batch_mode
         self.access_log = access_log
         self.slow_query_seconds = slow_query_seconds
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -324,7 +310,7 @@ class ServiceApp:
     # lifecycle
     # ------------------------------------------------------------------
     async def _ensure_started(self) -> None:
-        """Bind queue, consumers and pool to the running event loop.
+        """Bind queue, consumer and pool to the running event loop.
 
         Re-binding on a *new* loop (repeated ``asyncio.run`` in scripts
         and doctests) is supported: the previous loop's tasks died with
@@ -338,16 +324,16 @@ class ServiceApp:
         self._loop = loop
         self._queue = asyncio.Queue(maxsize=self.max_pending)
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers + 1,  # +1 keeps prep off solve slots
+            max_workers=2,
             thread_name_prefix="repro-service",
         )
         self._tasks = [
-            loop.create_task(self._consume()) for _ in range(self.workers)
+            loop.create_task(self._consume()),
+            loop.create_task(self._probe_loop_lag()),
         ]
-        self._tasks.append(loop.create_task(self._probe_loop_lag()))
 
     async def aclose(self) -> None:
-        """Stop consumers and release the thread pool."""
+        """Stop the consumer and release the thread pool."""
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -360,7 +346,7 @@ class ServiceApp:
         self._pool = None
 
     async def _consume(self) -> None:
-        """One admission consumer: queue -> thread pool -> future."""
+        """The admission consumer: queue -> thread pool -> future."""
         assert self._queue is not None
         while True:
             job = await self._queue.get()
@@ -611,10 +597,10 @@ class ServiceApp:
 
         Returns ``(status, payload)``.  Each call runs on a private
         event loop via :func:`asyncio.run`; the app re-binds its queue
-        and consumers transparently.  Consumers are closed before the
+        and consumer transparently.  The consumer is closed before the
         loop dies — an abandoned coroutine garbage-collected on a
         closed loop raises at unpredictable moments (the next call
-        would re-bind and orphan them anyway).
+        would re-bind and orphan it anyway).
         """
 
         async def call() -> HttpResponse:
@@ -925,10 +911,7 @@ class ServiceApp:
             else self.timeout
         )
         executor = BatchExecutor(
-            workers=self.batch_workers,
-            mode=self.batch_mode,
-            cache=self.cache,
-            timeout=timeout,
+            mode="serial", cache=self.cache, timeout=timeout
         )
 
         def work() -> List[BatchResult]:

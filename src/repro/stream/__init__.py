@@ -42,7 +42,6 @@ from repro.stream.engine import (
     replay_events,
     snapshot_recompute,
     solve_difference,
-    solve_difference_topk,
 )
 from repro.stream.events import (
     EdgeEvent,
@@ -69,7 +68,6 @@ __all__ = [
     "replay_events",
     "snapshot_recompute",
     "solve_difference",
-    "solve_difference_topk",
     "EdgeEvent",
     "EventLog",
     "edge_key",

@@ -8,6 +8,12 @@ vertices' incident difference weights moved
 (:class:`DirtyRegion`), and answer "what is the densest contrast
 subgraph *right now*" without recomputing from scratch.
 
+Its answers, the *incumbents*, live in one
+:class:`~repro.core.topk.IncrementalTopK` of the best ``k``: ``k=1``
+(the default, Section I) is its one-entry case, ``k>1`` the paper's
+Section VII top-k direction.  Every solve goes through the engine
+envelope (:func:`solve_difference`); alerts carry the rank-0 answer.
+
 Solve scheduling — the incremental driver
 -----------------------------------------
 
@@ -28,20 +34,21 @@ weights move for two reasons — new *events*, and the predictable
 *decay* of old contrast as the window absorbs it — and the gate treats
 them differently:
 
-* **events inside** the incumbent's closed neighbourhood → its
-  structure changed: full solve, with the previous answer
-  *warm-starting* the driver (the re-scored incumbent is kept if the
+* **events inside** an incumbent's closed neighbourhood → its
+  structure changed: full solve, with the previous incumbents
+  *warm-starting* the driver (a re-scored incumbent is kept if the
   fresh greedy answer is worse — peeling is a heuristic and must never
   regress below a carried answer).
-* **events elsewhere** → the incumbent's subset is still the local
-  optimum it was; its score is refreshed by an O(|S| + vol S)
+* **events elsewhere** → the incumbents are still the local optima
+  they were; their scores are refreshed by an O(|S| + vol S)
   **re-score** on the maintained difference graph, and a **local
-  probe** solves only the evented neighbourhood, holding the incumbent
-  unless the probe finds a challenger (→ full solve).
-* **decay / drift fallbacks**: the incumbent is dropped and re-solved
-  once its re-scored contrast falls below ``hold_margin`` of the score
-  that installed it, or once the cumulative evented region since the
-  last full solve covers more than ``drift_ratio`` of the universe.
+  probe** solves only the evented neighbourhood, holding them unless
+  the probe finds a challenger (→ full solve).
+* **decay / drift fallbacks**: the incumbents are dropped and re-solved
+  once the best re-scored contrast falls below ``hold_margin`` of the
+  score that installed it, or once the cumulative evented region since
+  the last full solve covers more than ``drift_ratio`` of the universe.
+  An incumbent that decays to zero contrast leaves the ranking.
 
 :func:`snapshot_recompute` is the naive reference: materialise every
 step's snapshot, rebuild the window mean and the difference graph from
@@ -69,12 +76,7 @@ from typing import (
 
 from repro.core.difference import difference_graph
 from repro.core.monitor import mean_graph
-from repro.core.topk import (
-    IncrementalTopK,
-    RankedDCS,
-    top_k_dcsad,
-    top_k_dcsga,
-)
+from repro.core.topk import IncrementalTopK, RankedDCS
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
 from repro.engine.registry import get_backend
@@ -126,7 +128,9 @@ def solve_difference(
     backend: str = "python",
     tol_scale: float = 1e-2,
     seed: int = 0,
-) -> SolveOutcome:
+    k: int = 1,
+    strategy: str = "vertices",
+) -> List[SolveOutcome]:
     """Solve DCS on a (maintained or rebuilt) difference graph.
 
     Shared by the engine and the naive recompute path, so both sides of
@@ -134,81 +138,40 @@ def solve_difference(
     semantics: restrict to the active subgraph (isolated vertices cannot
     be part of a positive-density answer), then solve through the
     engine's shared result envelope — DCSGreedy (``average_degree``) or
-    NewSEA on ``GD+`` (``affinity``), with one
+    NewSEA on ``GD+`` (``affinity``), top-k when ``k > 1`` — with one
     :class:`~repro.engine.prepared.PreparedGraph` owning the positive
     part (KKT reporting is skipped: this is the per-step hot path).
-    A difference graph with no edges — or no positive edge under
-    ``affinity`` — yields the empty outcome (score 0, nothing to flag).
-    """
-    if measure not in ("average_degree", "affinity"):
-        raise ValueError(f"unknown measure {measure!r}")
-    active = [u for u in diff.vertices() if diff.unweighted_degree(u) > 0]
-    if not active:
-        return EMPTY_OUTCOME
-    sub = diff.subgraph(active)
-    prepared = PreparedGraph(sub)
-    if measure == "affinity" and prepared.gd_plus.num_edges == 0:
-        return EMPTY_OUTCOME
-    result = solve(
-        SolveRequest(
-            measure=measure,
-            backend=backend,
-            tol_scale=tol_scale,
-            seed=seed,
-            check_kkt=False,
-        ),
-        prepared,
-    )
-    if result.density <= 0.0:
-        return EMPTY_OUTCOME
-    return SolveOutcome(
-        subset=frozenset(result.subset),
-        score=result.density,
-        x=dict(result.embedding) if result.embedding is not None else None,
-    )
-
-
-def solve_difference_topk(
-    diff: Graph,
-    measure: Measure,
-    k: int,
-    backend: str = "python",
-    tol_scale: float = 1e-2,
-    seed: int = 0,
-    strategy: str = "vertices",
-) -> List[SolveOutcome]:
-    """Top-k solve of a difference graph, ranked best first.
-
-    The k>1 counterpart of :func:`solve_difference`, sharing its
-    active-subgraph restriction so the incremental engine and a batch
-    recompute of the same window run literally the same top-k
-    functions (:func:`~repro.core.topk.top_k_dcsad` /
-    :func:`~repro.core.topk.top_k_dcsga`) on the same semantics.
-    Returns only strictly-positive answers (possibly fewer than *k*).
+    Returns the strictly positive answers, best first: at most *k*, none
+    for a difference graph with no edges (or no positive edge under
+    ``affinity``).
     """
     if measure not in ("average_degree", "affinity"):
         raise ValueError(f"unknown measure {measure!r}")
     active = [u for u in diff.vertices() if diff.unweighted_degree(u) > 0]
     if not active:
         return []
-    sub = diff.subgraph(active)
-    ranked: List[RankedDCS]
-    if measure == "average_degree":
-        ranked = top_k_dcsad(sub, k, strategy=strategy, backend=backend)  # type: ignore[arg-type]
-    else:
-        prepared = PreparedGraph(sub)
-        if prepared.gd_plus.num_edges == 0:
-            return []
-        ranked = top_k_dcsga(
-            prepared.gd_plus, k, tol_scale=tol_scale, backend=backend
-        )
+    prepared = PreparedGraph(diff.subgraph(active))
+    if measure == "affinity" and prepared.gd_plus.num_edges == 0:
+        return []
+    result = solve(
+        SolveRequest(
+            measure=measure,
+            backend=backend,
+            k=k,
+            strategy=strategy,
+            tol_scale=tol_scale,
+            seed=seed,
+            check_kkt=False,
+        ),
+        prepared,
+    )
     return [
         SolveOutcome(
             subset=frozenset(item.subset),
             score=item.objective,
-            x=dict(item.embedding) if item.embedding is not None else None,
+            x=item.embedding,
         )
-        for item in ranked
+        for item in result.ranked
         if item.objective > 0.0
     ]
 
@@ -277,6 +240,8 @@ class EngineStats:
     local_probes: int = 0
     incumbent_holds: int = 0
     rescores: int = 0
+    #: full solves whose rank-0 subset changed when the carried
+    #: incumbents were re-offered (no fresh answer = the empty subset)
     warm_start_wins: int = 0
     drift_fallbacks: int = 0
 
@@ -354,14 +319,15 @@ class StreamingDCSEngine:
         contrast stays above ``hold_margin`` times the score of the full
         solve that produced it; decaying past that triggers a re-solve.
     k:
-        How many incumbent answers to maintain.  ``k=1`` (default) is
-        the single-incumbent engine; ``k>1`` holds an
+        How many incumbent answers to maintain, in an
         :class:`~repro.core.topk.IncrementalTopK` of the best *k*
-        answers — dirty steps run the batch top-k solvers on the
-        maintained difference, the gated policy re-scores *every*
-        incumbent (rank membership can change without a solve), and
-        :meth:`current_topk` exposes the maintained ranking.  Emitted
-        alerts always carry the rank-0 answer.
+        strictly positive answers; ``k=1`` (default) is its one-entry
+        case.  Dirty steps solve the maintained difference through
+        :func:`solve_difference` (the top-k solvers when ``k>1``), the
+        gated policy re-scores *every* incumbent (rank membership can
+        change without a solve), and :meth:`current_topk` exposes the
+        maintained ranking.  Emitted alerts always carry the rank-0
+        answer.
     topk_strategy:
         Removal strategy between top-k DCSGreedy rounds when ``k>1``
         and the measure is ``average_degree`` (see
@@ -421,15 +387,12 @@ class StreamingDCSEngine:
         self._step_profiles: Deque[StepProfile] = deque(
             maxlen=STEP_PROFILE_CAPACITY
         )
+        #: the k maintained incumbents, the answer of record;
+        #: ``_cached`` mirrors their rank-0 entry (None before the first
+        #: answer) and is refreshed whenever they re-sort
+        self._topk = IncrementalTopK(k, min_score=0.0)
         self._cached: Optional[SolveOutcome] = None
-        self._incumbent: Optional[SolveOutcome] = None
-        #: the k maintained incumbents (None in the k=1 configuration);
-        #: the answer of record for k>1 — ``_cached`` mirrors its rank-0
-        #: entry and is refreshed whenever the structure re-sorts
-        self._topk: Optional[IncrementalTopK] = (
-            IncrementalTopK(k, min_score=0.0) if k > 1 else None
-        )
-        #: score of the full solve that installed the incumbent
+        #: rank-0 score of the full solve that installed the incumbents
         self._anchor_score = 0.0
 
         self._diff = Graph()
@@ -496,25 +459,11 @@ class StreamingDCSEngine:
     def current_topk(self) -> List[RankedDCS]:
         """The maintained ranking as of the last answered step.
 
-        With ``k>1`` this reads the live
-        :class:`~repro.core.topk.IncrementalTopK` — including rank
-        moves the gated policy's re-scoring made without a solve.  With
-        ``k=1`` it wraps the single incumbent (empty before the first
-        answer).
+        Reads the live :class:`~repro.core.topk.IncrementalTopK`, rank
+        moves of the gated policy's re-scoring included; every score is
+        strictly positive (empty before the first answer).
         """
-        if self._topk is not None:
-            return self._topk.as_ranked()
-        base = self._incumbent if self._incumbent is not None else self._cached
-        if base is None or base.empty:
-            return []
-        return [
-            RankedDCS(
-                rank=0,
-                subset=set(base.subset),
-                objective=base.score,
-                embedding=dict(base.x) if base.x is not None else None,
-            )
-        ]
+        return self._topk.as_ranked()
 
     # ------------------------------------------------------------------
     # ingestion
@@ -533,11 +482,7 @@ class StreamingDCSEngine:
             raise InputMismatchError(
                 f"event at t={event.t} arrived after step {self.step} opened"
             )
-        alerts: List[StreamAlert] = []
-        while self.step < event.t:
-            alert = self._close_step()
-            if alert is not None:
-                alerts.append(alert)
+        alerts = self.advance_to(event.t)
         self.stats.events += 1
         if self._accumulator.observe(event.key, event.w):
             self.stats.state_changes += 1
@@ -626,159 +571,79 @@ class StreamingDCSEngine:
         if self._cached is not None and self._dirty.clean:
             self.stats.cache_hits += 1
             return self._cached, SOURCE_CACHE
-        if self.policy == "exact" or self._incumbent is None:
+        if self.policy == "exact" or self._cached is None:
             outcome = self._full_solve(warm=self.policy == "gated")
             return outcome, SOURCE_SOLVE
         return self._gated_answer()
 
+    def _incumbents(self) -> List[SolveOutcome]:
+        """The maintained answers as solve outcomes, rank order."""
+        return [
+            SolveOutcome(frozenset(item.subset), item.objective, item.embedding)
+            for item in self._topk.as_ranked()
+        ]
+
+    def _best(self) -> SolveOutcome:
+        """The rank-0 answer, or the empty outcome when none is held."""
+        incumbents = self._incumbents()
+        return incumbents[0] if incumbents else EMPTY_OUTCOME
+
     # -- exact path ----------------------------------------------------
     def _full_solve(self, warm: bool) -> SolveOutcome:
-        if self._topk is not None:
-            return self._full_solve_topk(warm)
-        outcome = solve_difference(
-            self._diff,
-            self.measure,
-            backend=self.backend,
-            tol_scale=self.tol_scale,
-            seed=self.seed,
-        )
-        if warm and self._incumbent is not None and not self._incumbent.empty:
-            rescored = self._rescore(self._incumbent)
-            if rescored is not None and rescored.score > outcome.score:
-                # Greedy/NewSEA are heuristics: never regress below the
-                # carried answer, which is still a valid subgraph.
-                outcome = rescored
-                self.stats.warm_start_wins += 1
-        self.stats.full_solves += 1
-        self._incumbent = outcome
-        self._anchor_score = outcome.score
-        self._cached = outcome
-        self._dirty.reset()
-        return outcome
-
-    def _full_solve_topk(self, warm: bool) -> SolveOutcome:
-        """Full top-k solve: replace the maintained ranking wholesale.
+        """Full solve: replace the maintained ranking wholesale.
 
         With *warm* (the gated policy), the previous incumbents are
-        re-scored on the updated difference and re-offered — the top-k
-        analogue of the k=1 warm start: the greedy/NewSEA rounds are
-        heuristics and must never regress below a carried answer that
-        still scores better than what they found.
+        re-scored on the updated difference and re-offered: DCSGreedy
+        and NewSEA are heuristics and must never regress below a
+        carried answer, which is still a valid subgraph.
         """
-        assert self._topk is not None
-        outcomes = solve_difference_topk(
+        outcomes = solve_difference(
             self._diff,
             self.measure,
-            self.k,
             backend=self.backend,
             tol_scale=self.tol_scale,
             seed=self.seed,
+            k=self.k,
             strategy=self.topk_strategy,
         )
-        carried = self._topk_outcomes() if warm else []
+        carried = self._incumbents() if warm else []
         self._topk.replace((o.subset, o.score, o.x) for o in outcomes)
-        fresh_best = outcomes[0].subset if outcomes else None
+        fresh = self._topk.subsets()[:1]
         for previous in carried:
-            rescored = self._rescore(previous)
-            if rescored is not None:
-                self._topk.offer(rescored.subset, rescored.score, rescored.x)
-        best = self._topk_best_outcome()
-        if fresh_best is not None and best.subset != fresh_best:
+            self._topk.offer(previous.subset, self._rescore(previous), previous.x)
+        if self._topk.subsets()[:1] != fresh:
             self.stats.warm_start_wins += 1
+        best = self._best()
         self.stats.full_solves += 1
-        self._incumbent = best
         self._anchor_score = best.score
         self._cached = best
         self._dirty.reset()
         return best
-
-    def _topk_outcomes(self) -> List[SolveOutcome]:
-        """The maintained top-k entries as solve outcomes, rank order."""
-        assert self._topk is not None
-        return [
-            SolveOutcome(
-                subset=frozenset(item.subset),
-                score=item.objective,
-                x=item.embedding,
-            )
-            for item in self._topk.as_ranked()
-        ]
-
-    def _topk_best_outcome(self) -> SolveOutcome:
-        assert self._topk is not None
-        best = self._topk.best
-        if best is None:
-            return EMPTY_OUTCOME
-        return SolveOutcome(
-            subset=frozenset(best.subset),
-            score=best.objective,
-            x=best.embedding,
-        )
 
     # -- gated path ----------------------------------------------------
     def _gated_answer(self) -> Tuple[SolveOutcome, str]:
         """The incumbent-gating decision tree.
 
         Full solves are forced by (in order): the cumulative event
-        region outgrowing ``drift_ratio`` of the universe; new events
-        inside the incumbent's closed neighbourhood (its structure
-        changed); the incumbent's re-scored contrast decaying below
-        ``hold_margin`` of its anchor; or a local probe of the evented
-        region finding a challenger.  Otherwise the incumbent *subset*
-        is held and emitted with its freshly re-scored contrast.
-        """
-        assert self._incumbent is not None
-        if self._topk is not None:
-            return self._gated_answer_topk()
-        if (
-            len(self._dirty.evented_since_full)
-            > self.drift_ratio * len(self.universe)
-        ):
-            self.stats.drift_fallbacks += 1
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        evented = self._dirty.evented_since_answer
-        if evented & self._closed_neighborhood(self._incumbent.subset):
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        rescored = self._rescore(self._incumbent)
-        if rescored is None:
-            # Nothing to hold (empty incumbent): any change warrants a solve.
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        if rescored.score < self.hold_margin * self._anchor_score:
-            self.stats.drift_fallbacks += 1
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        if evented:
-            probe = self._local_probe()
-            if probe.score > rescored.score:
-                self.stats.drift_fallbacks += 1
-                return self._full_solve(warm=True), SOURCE_SOLVE
-        self.stats.incumbent_holds += 1
-        self._dirty.settle()
-        self._incumbent = rescored
-        self._cached = rescored
-        return rescored, SOURCE_INCUMBENT
-
-    def _gated_answer_topk(self) -> Tuple[SolveOutcome, str]:
-        """The k>1 gating tree: every incumbent gets the k=1 treatment.
-
-        Full solves are forced by the same triggers as k=1, widened to
-        the whole maintained set — events inside *any* incumbent's
-        closed neighbourhood, the *best* re-scored contrast decaying
-        below ``hold_margin`` of the anchor, or a local probe beating
-        the *k-th* re-scored score (a challenger need only displace the
-        weakest incumbent to change the ranking).  A hold re-scores all
-        k incumbents through :meth:`IncrementalTopK.rescore`, which
+        region outgrowing ``drift_ratio`` of the universe; no incumbent
+        to hold; new events inside *any* incumbent's closed
+        neighbourhood (its structure changed); the *best* re-scored
+        contrast decaying below ``hold_margin`` of the anchor; or a
+        local probe of the evented region beating the *k-th* re-scored
+        score (a challenger need only displace the weakest incumbent to
+        change the ranking).  Otherwise every incumbent is held, and
+        :meth:`IncrementalTopK.rescore` installs the fresh scores and
         re-sorts — so the emitted (rank-0) answer and the cached one
         always track membership changes, even score-order flips with no
         event anywhere near an incumbent.
         """
-        assert self._topk is not None
         if (
             len(self._dirty.evented_since_full)
             > self.drift_ratio * len(self.universe)
         ):
             self.stats.drift_fallbacks += 1
             return self._full_solve(warm=True), SOURCE_SOLVE
-        incumbents = self._topk_outcomes()
+        incumbents = self._incumbents()
         if not incumbents:
             return self._full_solve(warm=True), SOURCE_SOLVE
         evented = self._dirty.evented_since_answer
@@ -787,37 +652,20 @@ class StreamingDCSEngine:
             region |= self._closed_neighborhood(incumbent.subset)
         if evented & region:
             return self._full_solve(warm=True), SOURCE_SOLVE
-        rescored: Dict[FrozenSet[Vertex], SolveOutcome] = {}
-        for incumbent in incumbents:
-            fresh = self._rescore(incumbent)
-            if fresh is None:
-                return self._full_solve(warm=True), SOURCE_SOLVE
-            rescored[incumbent.subset] = fresh
-        best_score = max(o.score for o in rescored.values())
-        if best_score < self.hold_margin * self._anchor_score:
+        rescored = {o.subset: self._rescore(o) for o in incumbents}
+        if max(rescored.values()) < self.hold_margin * self._anchor_score:
             self.stats.drift_fallbacks += 1
             return self._full_solve(warm=True), SOURCE_SOLVE
         if evented:
-            probe = self._local_probe()
-            floor = (
-                min(o.score for o in rescored.values())
-                if len(rescored) >= self.k
-                else 0.0
-            )
-            if probe.score > floor:
+            floor = min(rescored.values()) if len(rescored) >= self.k else 0.0
+            if self._local_probe() > floor:
                 self.stats.drift_fallbacks += 1
                 return self._full_solve(warm=True), SOURCE_SOLVE
         self.stats.incumbent_holds += 1
         self._dirty.settle()
-        self._topk.rescore(
-            lambda subset: rescored[subset].score
-            if subset in rescored
-            else None
-        )
-        best = self._topk_best_outcome()
-        self._incumbent = best
-        self._cached = best
-        return best, SOURCE_INCUMBENT
+        self._topk.rescore(rescored.get)
+        self._cached = self._best()
+        return self._cached, SOURCE_INCUMBENT
 
     def _closed_neighborhood(self, subset: Iterable[Vertex]) -> Set[Vertex]:
         members = set(subset)
@@ -826,32 +674,31 @@ class StreamingDCSEngine:
             closed.update(self._diff.neighbors(vertex))
         return closed
 
-    def _local_probe(self) -> SolveOutcome:
+    def _local_probe(self) -> float:
+        """The best contrast of the evented region alone (0 if none)."""
         region = self._closed_neighborhood(self._dirty.evented_since_full)
         self.stats.local_probes += 1
-        return solve_difference(
+        answers = solve_difference(
             self._diff.subgraph(region & self.universe),
             self.measure,
             backend=self.backend,
             tol_scale=self.tol_scale,
             seed=self.seed,
         )
+        return answers[0].score if answers else 0.0
 
-    def _rescore(self, incumbent: SolveOutcome) -> Optional[SolveOutcome]:
-        """Re-evaluate a carried answer's score on the current difference.
+    def _rescore(self, incumbent: SolveOutcome) -> float:
+        """Re-evaluate a held answer's score on the current difference.
 
         Average degree: the exact ``W(S) / |S|`` of the held subset on
         the updated graph.  Affinity: ``x^T D x`` with the carried
         embedding — exact for the carried ``x``, a lower bound on what
         a re-optimised embedding would score.
         """
-        if incumbent.empty:
-            return None
         self.stats.rescores += 1
         subset = incumbent.subset
         if self.measure == "average_degree":
-            total = self._diff.total_degree(subset)
-            return SolveOutcome(subset=subset, score=total / len(subset))
+            return self._diff.total_degree(subset) / len(subset)
         x = incumbent.x or {}
         score = 0.0
         for u in subset:
@@ -862,7 +709,7 @@ class StreamingDCSEngine:
                 xv = x.get(v, 0.0)
                 if xv != 0.0:
                     score += weight * xu * xv
-        return SolveOutcome(subset=subset, score=score, x=incumbent.x)
+        return score
 
 
 def replay_events(
@@ -881,7 +728,9 @@ def replay_events(
     ``stream_replay`` queries — both replay a recorded log and care only
     about the final alert set and the engine counters.
     """
-    members = set(universe) if universe is not None else set(log.universe)
+    # Keep the caller's order: python NewSEA's float sums follow vertex
+    # order, so a session made from the same list must get it too.
+    members = list(universe) if universe is not None else list(log.universe)
     if not members:
         raise ValueError("event log declares no vertices and has no events")
     engine = StreamingDCSEngine(members, **engine_params)
@@ -947,15 +796,15 @@ def snapshot_recompute(
             diff = diff.map_weights(
                 lambda w: 0.0 if abs(w) <= prune_eps else w
             )
-            outcome = solve_difference(
+            answers = solve_difference(
                 diff, measure, backend=backend, tol_scale=tol_scale, seed=seed
             )
-            if not outcome.empty and outcome.score > min_score:
+            if answers and answers[0].score > min_score:
                 log.append(
                     StreamAlert(
                         step=step,
-                        subset=outcome.subset,
-                        score=outcome.score,
+                        subset=answers[0].subset,
+                        score=answers[0].score,
                         measure=measure,
                         source=SOURCE_SOLVE,
                     )

@@ -626,6 +626,51 @@ class TestBatchExecutor:
         assert executor_module._SHARED_PAYLOADS == {}
         assert executor_module._SHARED_PREPARED == {}
 
+    def test_concurrent_serial_runs_keep_their_own_tables(
+        self, pair, monkeypatch
+    ):
+        """A serial run that ends in one thread must not empty the
+        tables under a serial run still going in another."""
+        import threading
+
+        from repro.batch import executor as executor_module
+
+        real = executor_module.execute_payload
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold_first(kind, params, payload, prepared=None):
+            if not held.is_set():
+                held.set()
+                assert release.wait(timeout=60)
+            return real(kind, params, payload, prepared=prepared)
+
+        monkeypatch.setattr(executor_module, "execute_payload", hold_first)
+        source = GraphSource.from_pair(*pair)
+        first_run = [
+            BatchQuery(kind="dcsad", source=source, qid=f"ad{k}", k=k)
+            for k in (1, 2, 3)
+        ]
+        other = random_signed_graph(12, 0.4, seed=3)
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.extend(BatchExecutor().run(first_run))
+        )
+        thread.start()
+        try:
+            assert held.wait(timeout=60)
+            (second,) = BatchExecutor().run(
+                [BatchQuery(kind="dcsad", source=GraphSource.from_graph(other))]
+            )
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert second.status == "ok"
+        assert [(r.qid, r.status, r.error) for r in results] == [
+            (f"ad{k}", "ok", None) for k in (1, 2, 3)
+        ]
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             BatchExecutor(mode="threads")
@@ -649,9 +694,9 @@ class TestBatchExecutor:
         builds = []
         original = CSRAdjacency.from_graph
 
-        def counting(graph, order=None):
+        def counting(graph):
             builds.append(graph.num_vertices)
-            return original(graph, order=order)
+            return original(graph)
 
         monkeypatch.setattr(CSRAdjacency, "from_graph", counting)
         results = BatchExecutor(mode="serial").run(queries)

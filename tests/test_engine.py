@@ -446,9 +446,9 @@ class TestPairedPreparationSharing:
         csr_builds = []
         original_csr = CSRAdjacency.from_graph.__func__
 
-        def counting_csr(cls, graph, order=None):
+        def counting_csr(cls, graph):
             csr_builds.append(graph.num_vertices)
-            return original_csr(cls, graph, order=order)
+            return original_csr(cls, graph)
 
         monkeypatch.setattr(Graph, "positive_part", counting_plus)
         monkeypatch.setattr(

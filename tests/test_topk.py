@@ -101,11 +101,16 @@ class TestTopKDCSAD:
         gd = Graph.from_edges([("a", "b", -1.0)])
         assert top_k_dcsad(gd, k=3) == []
 
-    def test_objectives_decreasing(self):
-        gd = random_signed_graph(30, 0.25, seed=5)
-        results = top_k_dcsad(gd, k=4)
+    @pytest.mark.parametrize("strategy", ["vertices", "edges"])
+    @pytest.mark.parametrize("seed", [5, 9, 17])
+    def test_objectives_decreasing(self, seed, strategy):
+        # Seeds 9 and 17 find a denser group in a later round than in
+        # an earlier one; the ranking must still be by density.
+        gd = random_signed_graph(30, 0.25, seed=seed)
+        results = top_k_dcsad(gd, k=4, strategy=strategy)
         objectives = [r.objective for r in results]
         assert objectives == sorted(objectives, reverse=True)
+        assert [r.rank for r in results] == list(range(len(results)))
 
     def test_min_objective_threshold(self):
         gd = _two_cliques_gd()
@@ -183,7 +188,7 @@ from repro.core.difference import difference_graph  # noqa: E402
 from repro.stream import (  # noqa: E402
     SOURCE_INCUMBENT,
     StreamingDCSEngine,
-    solve_difference_topk,
+    solve_difference,
 )
 from repro.stream.events import EdgeEvent  # noqa: E402
 
@@ -355,8 +360,8 @@ class _WindowOracle:
             diff = difference_graph(expectation, self.state).map_weights(
                 lambda w: 0.0 if abs(w) <= 1e-9 else w
             )
-            answers = solve_difference_topk(
-                diff, "average_degree", self.k, strategy=self.strategy
+            answers = solve_difference(
+                diff, "average_degree", k=self.k, strategy=self.strategy
             )
         self.history.append(self.state.copy())
         return answers
@@ -508,3 +513,23 @@ class TestEngineTopK:
         # followed the re-sort — a later clean step would serve (c,d).
         assert engine._cached is not None
         assert engine._cached.subset == frozenset({"c", "d"})
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_incumbent_decayed_to_zero_leaves_the_ranking(self, k):
+        """A held incumbent whose contrast decays to zero is dropped at
+        every k: the maintained ranking keeps strictly positive scores
+        only, and k=1 is the one-entry case of the same structure."""
+        engine = StreamingDCSEngine(
+            {"a", "b", "c"},
+            window=3,
+            warmup=1,
+            policy="gated",
+            min_score=1e-6,
+            drift_ratio=1.0,  # never fall back on drift
+            hold_margin=0.0,  # never fall back on decay
+            k=k,
+        )
+        engine.ingest(EdgeEvent(0, "a", "b", 1.0))
+        engine.ingest(EdgeEvent(1, "a", "b", 13.0))
+        engine.advance_to(5)
+        assert engine.current_topk() == []
