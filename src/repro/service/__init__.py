@@ -22,9 +22,9 @@ Start it from the CLI (``repro serve --port 8765``) or embed it::
 
 The pieces:
 
-* :mod:`~repro.service.app` — routes, admission control (bounded
-  queue -> thread pool, 429 on overflow, per-request deadlines),
-  response envelopes;
+* :mod:`~repro.service.app` — routes, admission control (one worker
+  thread, a bounded count of waiting jobs, 429 on overflow,
+  per-request deadlines), response envelopes;
 * :mod:`~repro.service.registry` — named graphs -> warm preparations;
 * :mod:`~repro.service.metrics` — counters and latency quantiles
   behind ``/metrics``;

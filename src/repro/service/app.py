@@ -3,8 +3,8 @@
 One :class:`ServiceApp` is a resident query engine: it owns a
 :class:`~repro.service.registry.GraphRegistry` (warm
 ``PreparedGraph`` LRU), a :class:`~repro.batch.cache.ResultCache`
-(the same content-addressed cache the batch layer fills), a bounded
-admission queue feeding a small thread pool, and the metrics counters.
+(the same content-addressed cache the batch layer fills), one worker
+thread behind a bounded admission count, and the metrics counters.
 The HTTP layer (:mod:`repro.service.http`) is a thin shell around
 :meth:`ServiceApp.handle`; every route is equally reachable in-process
 via :meth:`dispatch` / :meth:`request`, which is how the tests and the
@@ -33,18 +33,17 @@ keys, same canonical payload bytes — with only the out-of-band
 from the canonical payload, so a hit is byte-identical to a fresh
 solve.
 
-Admission control: compute requests enter a bounded
-:class:`asyncio.Queue`; a full queue means an immediate ``429`` (and a
-``rejected`` counter tick) instead of unbounded buffering.  One
-asyncio consumer bridges the queue to a thread pool, one job at a
-time (solvers are GIL-bound; ``repro serve --workers N`` scales out),
-where :func:`~repro.batch.executor.run_guarded` — the batch
-executor's own per-query guard — runs the solve.  In a pool thread
-``SIGALRM`` cannot fire, so the request deadline is enforced at the
-awaiting side: the client gets its ``504`` on time even if the solve
-thread runs on.  Graph preparation (registry resolution, uploads) is
-offloaded to the same pool, so the event loop — and ``/healthz`` —
-stays responsive while a large graph is synthesised.
+Admission control: every blocking step of a request (registry
+resolution, uploads, batch parsing, session creation and batches, the
+solve) is one job on the app's one worker thread (solvers are
+GIL-bound; ``repro serve --workers N`` scales out), so the event loop
+and ``/healthz`` stay responsive.  Once ``max_pending`` jobs wait
+behind the running one, the next request answers ``429`` (and ticks
+``rejected``); the count is bound to no event loop.
+:func:`~repro.batch.executor.run_guarded` runs the solve.  ``SIGALRM``
+cannot fire in the worker thread, so a request's deadline, taken on
+arrival, is enforced at the awaiting side: the client gets its ``504``
+on time, an unstarted job is dropped, a started one runs on.
 """
 
 from __future__ import annotations
@@ -54,8 +53,9 @@ import json
 import logging
 import math
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextvars import ContextVar
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -94,7 +94,7 @@ _MAX_LONG_POLL = 30.0
 #: Sleep between long-poll feed checks.  Plain polling (rather than a
 #: per-session condition) keeps the route loop-agnostic: sessions are
 #: touched from many event loops (``request`` runs one per call) and
-#: from pool threads, where asyncio primitives would not travel.
+#: from the worker thread, where asyncio primitives would not travel.
 _LONG_POLL_TICK = 0.02
 
 #: Keys of a solve record that ride outside the canonical answer.
@@ -130,19 +130,12 @@ class ServiceDeadlineError(RuntimeError):
     background)."""
 
 
-class _Job:
-    """One admitted unit of work and the future its requester awaits."""
-
-    __slots__ = ("work", "future", "abandoned")
-
-    def __init__(
-        self, work: Callable[[], Any], future: "asyncio.Future[Any]"
-    ) -> None:
-        self.work = work
-        self.future = future
-        #: set when the requester gave up (504 already sent) — a job
-        #: that has not started yet is skipped instead of computed
-        self.abandoned = False
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    """The monotonic instant *timeout* runs out; ``None`` when it is
+    unbounded (absent or ``<= 0``, as ``run_guarded`` reads it)."""
+    if timeout is None or timeout <= 0:
+        return None
+    return time.monotonic() + timeout
 
 
 def _field_int(body: Dict[str, Any], name: str, default: int) -> int:
@@ -204,12 +197,13 @@ class ServiceApp:
         directory-backed :class:`~repro.batch.cache.ResultCache` to
         persist answers across restarts.
     max_pending:
-        Bound of the admission queue; a full queue answers 429.
+        How many jobs may wait behind the running one (then 429).
     timeout:
         Default per-request solve budget in seconds (a request's own
         ``timeout`` field overrides it); ``None`` = unbounded.  On
         ``/v1/batch`` the budget is per query, so the request deadline
         is ``timeout x len(queries)``, and its queries run serially.
+        The deadline runs from arrival, graph resolution included.
     warm_capacity / scale:
         Shape the default :class:`GraphRegistry` (ignored when a
         registry is injected).
@@ -287,10 +281,14 @@ class ServiceApp:
         self.timeout = timeout
         self.access_log = access_log
         self.slow_query_seconds = slow_query_seconds
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[_Job]"] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._tasks: List["asyncio.Task[None]"] = []
+        # Shared by every loop and thread; starts with the first job.
+        self._pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service"
+        )
+        #: jobs submitted to the pool and not yet started
+        self._waiting = 0
+        self._waiting_lock = threading.Lock()
+        self._lag_probe: Optional["asyncio.Task[None]"] = None
         self._routes: Dict[
             Tuple[str, str],
             Callable[[HttpRequest], Awaitable[HttpResponse]],
@@ -309,71 +307,22 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def _ensure_started(self) -> None:
-        """Bind queue, consumer and pool to the running event loop.
-
-        Re-binding on a *new* loop (repeated ``asyncio.run`` in scripts
-        and doctests) is supported: the previous loop's tasks died with
-        it, only the thread pool needs an explicit shutdown.
-        """
-        loop = asyncio.get_running_loop()
-        if self._loop is loop:
-            return
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        self._loop = loop
-        self._queue = asyncio.Queue(maxsize=self.max_pending)
-        self._pool = ThreadPoolExecutor(
-            max_workers=2,
-            thread_name_prefix="repro-service",
-        )
-        self._tasks = [
-            loop.create_task(self._consume()),
-            loop.create_task(self._probe_loop_lag()),
-        ]
-
     async def aclose(self) -> None:
-        """Stop the consumer and release the thread pool."""
-        for task in self._tasks:
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        self._tasks = []
-        self._loop = None
-        self._queue = None
-        self._pool = None
-
-    async def _consume(self) -> None:
-        """The admission consumer: queue -> thread pool -> future."""
-        assert self._queue is not None
-        while True:
-            job = await self._queue.get()
-            try:
-                if job.abandoned:
-                    continue
-                loop = asyncio.get_running_loop()
-                outcome = await loop.run_in_executor(self._pool, job.work)
-                if not job.future.done():
-                    job.future.set_result(outcome)
-            except asyncio.CancelledError:
-                if not job.future.done():
-                    job.future.cancel()
-                raise
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                if not job.future.done():
-                    job.future.set_exception(exc)
-            finally:
-                self._queue.task_done()
+        """Stop the loop-lag probe and release the worker thread
+        (unstarted jobs are cancelled; the app takes no new ones)."""
+        if self._lag_probe is not None:
+            self._lag_probe.cancel()
+            await asyncio.gather(self._lag_probe, return_exceptions=True)
+            self._lag_probe = None
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
     async def _probe_loop_lag(self) -> None:
         """Measure event-loop scheduling lag on a fixed cadence.
 
         Each probe asks to sleep :data:`_LAG_PROBE_INTERVAL` seconds;
         the overshoot is time the loop spent unable to schedule — the
-        direct symptom of blocking work on the loop (the thing
-        :meth:`_run_blocking` exists to prevent).
+        direct symptom of blocking work on the loop (the thing the
+        worker thread exists to prevent).
         """
         while True:
             before = time.perf_counter()
@@ -383,54 +332,60 @@ class ServiceApp:
 
     @property
     def pending(self) -> int:
-        """Requests admitted but not yet picked up by a consumer."""
-        return self._queue.qsize() if self._queue is not None else 0
+        """Jobs admitted but not yet started."""
+        return self._waiting
 
-    async def _run_blocking(self, fn: Callable[[], Any]) -> Any:
-        """Run blocking preparation work off the event loop.
+    def _take_slot(self) -> bool:
+        """Count one more waiting job; False once ``max_pending`` wait."""
+        with self._waiting_lock:
+            if self._waiting >= self.max_pending:
+                return False
+            self._waiting += 1
+            return True
 
-        Registry resolution, uploads and batch parsing are CPU / IO
-        work that would otherwise freeze every in-flight request
-        (including ``/healthz``) for their duration.  Prep goes through
-        the same bounded admission queue as solves — expensive work a
-        request triggers *anywhere* counts against ``max_pending`` and
-        sheds with a 429 on overflow, never queues without bound.
-        """
-        return await self._submit(fn, None)
+    def _free_slot(self) -> None:
+        """Uncount a waiting job: it started, or was cancelled unstarted."""
+        with self._waiting_lock:
+            self._waiting -= 1
+
+    def _free_slot_if_cancelled(self, future: "Future[Any]") -> None:
+        if future.cancelled():
+            self._free_slot()
 
     async def _submit(
         self, work: Callable[[], Any], deadline: Optional[float]
     ) -> Any:
-        """Admit *work*; await its outcome, bounding the wait.
+        """Admit *work*; await its outcome until the monotonic
+        *deadline* (``None`` = unbounded).
 
-        Raises :class:`ServiceOverloadedError` when the queue is full
-        and :class:`ServiceDeadlineError` when *deadline* passes first
-        — the job is then abandoned (skipped if not yet started; left
-        to finish in the background if it is), and the requester gets
-        its answer on schedule.
+        Raises :class:`ServiceOverloadedError` when ``max_pending`` jobs
+        already wait and :class:`ServiceDeadlineError` when *deadline*
+        passes first.  A cancelled wait cancels a job not yet started,
+        freeing its slot; a started job finishes in the background.
         """
-        await self._ensure_started()
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        job = _Job(work, loop.create_future())
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        if not self._take_slot():
             self.metrics.observe_rejection()
             raise ServiceOverloadedError(
                 f"admission queue full ({self.max_pending} pending); "
                 "retry later"
-            ) from None
-        if deadline is None or deadline <= 0:
-            return await job.future
+            )
+
+        def job() -> Any:
+            self._free_slot()
+            return work()
+
+        future = self._pool.submit(job)
+        future.add_done_callback(self._free_slot_if_cancelled)
+        outcome = asyncio.wrap_future(future)
+        if deadline is None:
+            return await outcome
         try:
             return await asyncio.wait_for(
-                asyncio.shield(job.future), deadline + _TIMEOUT_GRACE
+                outcome, deadline - time.monotonic() + _TIMEOUT_GRACE
             )
         except asyncio.TimeoutError:
-            job.abandoned = True
             raise ServiceDeadlineError(
-                f"request exceeded its {deadline}s deadline"
+                "request exceeded its deadline"
             ) from None
 
     # ------------------------------------------------------------------
@@ -596,25 +551,11 @@ class ServiceApp:
         """Synchronous :meth:`dispatch` (scripts, doctests, tests).
 
         Returns ``(status, payload)``.  Each call runs on a private
-        event loop via :func:`asyncio.run`; the app re-binds its queue
-        and consumer transparently.  The consumer is closed before the
-        loop dies — an abandoned coroutine garbage-collected on a
-        closed loop raises at unpredictable moments (the next call
-        would re-bind and orphan it anyway).
+        event loop via :func:`asyncio.run`.  Admission is bound to no
+        loop, so calls from several threads at once are safe: their
+        jobs share the one worker thread and the ``max_pending`` bound.
         """
-
-        async def call() -> HttpResponse:
-            try:
-                return await self.dispatch(method, path, body)
-            finally:
-                # Threaded callers race to re-bind the app to their own
-                # loops; only the thread whose loop owns the tasks may
-                # close them (the others' orphans die with their loops,
-                # exactly the pre-existing behaviour).
-                if self._loop is asyncio.get_running_loop():
-                    await self.aclose()
-
-        response = asyncio.run(call())
+        response = asyncio.run(self.dispatch(method, path, body))
         return response.status, response.payload
 
     # ------------------------------------------------------------------
@@ -701,7 +642,7 @@ class ServiceApp:
                 cap=cap_value,
             )
 
-        prepared = await self._run_blocking(register)
+        prepared = await self._submit(register, None)
         return HttpResponse(
             200,
             {
@@ -760,11 +701,19 @@ class ServiceApp:
                     400, f"unknown removal strategy {params['strategy']!r}"
                 )
         solve_request = SolveRequest.from_params(kind, params)
-        prepared = await self._run_blocking(
-            lambda: self.registry.resolve(ref)
-        )
-        fingerprint = prepared.fingerprint
         timeout = self._effective_timeout(body)
+        deadline = _deadline(timeout)
+        arrived = time.perf_counter()
+        try:
+            prepared = await self._submit(
+                lambda: self.registry.resolve(ref), deadline
+            )
+        except ServiceDeadlineError:
+            self.metrics.observe_query(
+                "timeout", time.perf_counter() - arrived
+            )
+            raise
+        fingerprint = prepared.fingerprint
         start = time.perf_counter()
         key = cache_key(fingerprint, params)
         hit = self.cache.get(key)
@@ -789,7 +738,7 @@ class ServiceApp:
             )
 
         def solve_work() -> Dict[str, Any]:
-            # Recording here — inside the pool thread — gives each
+            # Recording here — inside the worker thread — gives each
             # solve its own span tree; the derived breakdown rides back
             # in timings["phases"] and feeds the /metrics phase gauges.
             # The canonical answer bytes are unaffected (phases are
@@ -799,7 +748,7 @@ class ServiceApp:
 
         try:
             status, value, _ = await self._submit(
-                lambda: run_guarded(solve_work, timeout), timeout
+                lambda: run_guarded(solve_work, timeout), deadline
             )
         except ServiceDeadlineError as exc:
             status, value = "timeout", str(exc)
@@ -904,24 +853,30 @@ class ServiceApp:
                 for record in records
             )
 
-        queries: List[BatchQuery] = await self._run_blocking(parse)
         timeout = (
             self._effective_timeout(body)
             if isinstance(body, dict)
             else self.timeout
         )
+        # The budget is per query (matching `repro batch --timeout`),
+        # and SIGALRM cannot fire in the worker, so the enforceable
+        # request deadline is the whole batch's worth of budgets.
+        budget = None if timeout is None else timeout * len(records)
+        deadline = _deadline(budget)
+        arrived = time.perf_counter()
         executor = BatchExecutor(
             mode="serial", cache=self.cache, timeout=timeout
         )
-
-        def work() -> List[BatchResult]:
-            return executor.run(queries)
-
-        # The budget is per query (matching `repro batch --timeout`),
-        # and SIGALRM cannot fire in a pool thread, so the enforceable
-        # request deadline is the whole batch's worth of budgets.
-        deadline = None if timeout is None else timeout * len(queries)
-        results = await self._submit(work, deadline)
+        try:
+            queries: List[BatchQuery] = await self._submit(parse, deadline)
+            results: List[BatchResult] = await self._submit(
+                lambda: executor.run(queries), deadline
+            )
+        except ServiceDeadlineError:
+            self.metrics.observe_query(
+                "timeout", time.perf_counter() - arrived
+            )
+            raise
         for result in results:
             self.metrics.observe_query(result.status, result.seconds)
         stats = executor.stats
@@ -985,12 +940,12 @@ class ServiceApp:
         self.sessions.expire_idle()
 
         def create() -> Any:
-            # Resolving a graph reference may build cold — pool work.
+            # Resolving a graph reference may build cold — worker work.
             return self.sessions.create(
                 universe=universe, graph=graph, **kwargs
             )
 
-        session = await self._run_blocking(create)
+        session = await self._submit(create, None)
         return HttpResponse(
             200,
             {
@@ -1034,7 +989,7 @@ class ServiceApp:
         # Existence and health are checked inline so a bad sid answers
         # 404 (and a failed session 409) without burning a queue slot.
         self.sessions.get(sid)
-        timeout = self._effective_timeout(body)
+        deadline = _deadline(self._effective_timeout(body))
         start = time.perf_counter()
 
         def work() -> Tuple[List[Dict[str, Any]], int, int]:
@@ -1043,7 +998,7 @@ class ServiceApp:
             )
 
         try:
-            alerts, cursor, step = await self._submit(work, timeout)
+            alerts, cursor, step = await self._submit(work, deadline)
         except ServiceDeadlineError:
             self.metrics.observe_query(
                 "timeout", time.perf_counter() - start
@@ -1114,8 +1069,14 @@ class ServiceApp:
     async def start_server(
         self, host: str = "127.0.0.1", port: int = 8765
     ) -> asyncio.AbstractServer:
-        """Bind the HTTP shell; ``port=0`` picks an ephemeral port."""
+        """Bind the HTTP shell; ``port=0`` picks an ephemeral port.
+
+        Also starts the loop-lag probe on the serving loop;
+        :meth:`aclose` stops it.
+        """
         from repro.service.http import serve_http
 
-        await self._ensure_started()
+        self._lag_probe = asyncio.get_running_loop().create_task(
+            self._probe_loop_lag()
+        )
         return await serve_http(self.handle, host, port)

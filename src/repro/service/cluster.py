@@ -182,7 +182,7 @@ def _worker_main(
     send_lock = threading.Lock()
 
     def on_export(ref: str, fingerprint: str, segment: str) -> None:
-        # Fired from pool threads mid-build; the pipe is one shared
+        # Fired from the worker thread mid-build; the pipe is one shared
         # channel, so sends are serialised.
         with send_lock:
             try:

@@ -49,7 +49,7 @@ ExportHook = Callable[[str, str, str], None]
 class GraphRegistry:
     """Named graphs resolved once each into a warm LRU of preparations.
 
-    Thread-safe: the service resolves and uploads from pool threads
+    Thread-safe: the service resolves and uploads on a worker thread
     (to keep the event loop responsive), so every mutation of the LRU
     and the upload table happens under one lock — concurrent requests
     for the same name build its preparation once, not twice.

@@ -11,9 +11,10 @@ feed :func:`~repro.stream.engine.replay_events` gives on that log.
 
 Isolation is the design centre:
 
-* **State** — every session owns its engine and alert feed behind its
-  own lock; batches for different sessions run concurrently on the
-  service pool, batches for one session serialise.
+* **State** — every session owns its engine behind its own lock, held
+  through a batch's solves; what a finished batch publishes (alerts,
+  step, phase stats) sits behind a lock held only for a copy, so polls
+  never wait.  The service's one worker thread runs batches in turn.
 * **Faults** — a solver blowing up mid-step marks *that* session failed
   (:class:`SessionFailedError` on further use; ``close`` still works)
   and touches nothing else; client mistakes (unknown vertices,
@@ -27,8 +28,8 @@ Isolation is the design centre:
 
 Admission control stays with the service: ``max_sessions`` bounds how
 many tenants may be resident (:class:`SessionLimitError` maps to 429),
-and event batches run through the app's bounded queue, inheriting its
-429/504 behaviour.
+and event batches take a job slot on the app's worker thread,
+inheriting its 429/504 behaviour.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def events_from_records(records: Any) -> List[EdgeEvent]:
 class StreamSession:
     """One tenant: an engine, its alert feed, and its bookkeeping.
 
-    All mutation happens under :attr:`lock` (the manager acquires it);
-    the alert feed is append-only, so cursors are simple indices and a
-    reader never blocks a writer for long.
+    A batch runs under :attr:`lock` (the manager acquires it) and
+    publishes under :attr:`feed_lock`, which a poll takes alone; the
+    alert feed is append-only, so cursors are simple indices.
     """
 
     def __init__(
@@ -122,8 +123,13 @@ class StreamSession:
         #: the creation parameters echoed back by GET (diagnostics)
         self.config = config
         self.lock = threading.Lock()
+        #: guards the published alerts, step and phase_stats below
+        self.feed_lock = threading.Lock()
         #: every alert the engine ever emitted, as JSON-ready dicts
         self.alerts: List[Dict[str, Any]] = []
+        #: engine step and phase_stats() as of the last finished batch
+        self.step = engine.step
+        self.phase_stats = engine.phase_stats()
         self.created = time.monotonic()
         self.last_used = self.created
         #: error text once the solver failed (session is then read/close
@@ -174,8 +180,8 @@ class SessionManager:
     """Owns every resident session; all public methods are thread-safe.
 
     The manager's lock only guards the session table (create / lookup /
-    close); per-session work runs under the session's own lock, so slow
-    ingestion in one tenant never blocks another tenant's poll.
+    close); a batch runs under the session's own lock, a poll under its
+    feed lock, so slow ingestion never blocks any tenant's poll.
     """
 
     def __init__(
@@ -370,9 +376,13 @@ class SessionManager:
             session.events_seen += len(events)
             session.batches += 1
             new_alerts = [_alert_record(alert) for alert in fresh]
-            session.alerts.extend(new_alerts)
-            cursor = len(session.alerts)
             step = engine.step
+            phase_stats = engine.phase_stats()
+            with session.feed_lock:
+                session.alerts.extend(new_alerts)
+                session.step = step
+                session.phase_stats = phase_stats
+                cursor = len(session.alerts)
             cells = session.cells
         with self._lock:
             self.events_total += len(events)
@@ -391,7 +401,7 @@ class SessionManager:
         it can only come from a stale or corrupted cursor.
         """
         session = self.get(sid)
-        with session.lock:
+        with session.feed_lock:
             if cursor < 0 or cursor > len(session.alerts):
                 raise InputMismatchError(
                     f"cursor {cursor} out of range "
@@ -401,11 +411,11 @@ class SessionManager:
             return (
                 list(session.alerts[cursor:]),
                 len(session.alerts),
-                session.engine.step,
+                session.step,
             )
 
     def phase_stats(self, sid: str) -> Dict[str, Any]:
-        """The session engine's solve-scheduling phase stats.
+        """The engine's phase stats as of the last finished batch.
 
         The per-session observability block the alerts route serves:
         scheduling counters (full solves, cache hits, holds, probes,
@@ -413,8 +423,8 @@ class SessionManager:
         step's :class:`~repro.stream.engine.StepProfile`.
         """
         session = self.get(sid)
-        with session.lock:
-            return session.engine.phase_stats()
+        with session.feed_lock:
+            return session.phase_stats
 
     def describe(self, sid: str) -> Dict[str, Any]:
         """The session's JSON summary plus its maintained top-k."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -299,6 +300,58 @@ class TestSolveRoute:
         assert elapsed < 0.4  # answered before the solve finished
         assert app.metrics.queries_timeout == 1
 
+    def test_timeout_covers_a_busy_worker(self, app, monkeypatch):
+        """A request's timeout bounds its whole wait: graph resolution
+        queued behind a running solve times out on schedule too."""
+        import repro.service.app as app_module
+
+        real_solve = app_module.solve
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held_solve(request, prepared):
+            entered.set()
+            release.wait(timeout=2.0)
+            return real_solve(request, prepared)
+
+        monkeypatch.setattr(app_module, "solve", held_solve)
+
+        async def main():
+            held = asyncio.ensure_future(
+                app.dispatch(
+                    "POST", "/v1/solve", {"graph": "uploaded", "k": 2}
+                )
+            )
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                start = time.perf_counter()
+                timed = await app.dispatch(
+                    "POST",
+                    "/v1/solve",
+                    {"graph": "uploaded", "timeout": 0.1},
+                )
+                elapsed = time.perf_counter() - start
+            finally:
+                release.set()
+            return timed, elapsed, await held
+
+        timed, elapsed, held = asyncio.run(main())
+        assert timed.status == 504
+        assert timed.payload["status"] == "timeout"
+        assert elapsed < 1.0
+        assert held.status == 200
+        assert app.metrics.queries_timeout == 1
+
+
+def _wait_until(predicate, timeout: float = 5.0) -> bool:
+    """Poll *predicate* until it holds; False if *timeout* passes."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
 
 # ----------------------------------------------------------------------
 # admission control
@@ -342,6 +395,110 @@ class TestAdmissionControl:
         assert rejected.status == 429
         assert "Retry-After" in rejected.headers
         assert app.metrics.rejected == 1
+
+    def test_bound_holds_across_request_threads(self, app, monkeypatch):
+        """Requests from different threads (each on its own event loop)
+        share one bound: with the worker held and one job waiting, a
+        third request is refused."""
+        import repro.service.app as app_module
+
+        real_solve = app_module.solve
+        entered = threading.Event()
+        release = threading.Event()
+
+        def solve_holding_the_first(request, prepared):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=5.0)
+            return real_solve(request, prepared)
+
+        monkeypatch.setattr(app_module, "solve", solve_holding_the_first)
+        app.max_pending = 1
+        statuses = {}
+
+        def send(name, k):
+            statuses[name], _ = app.request(
+                "POST", "/v1/solve", {"graph": "uploaded", "k": k}
+            )
+
+        first = threading.Thread(target=send, args=("first", 2))
+        second = threading.Thread(target=send, args=("second", 3))
+        first.start()
+        held = entered.wait(timeout=5.0)
+        second.start()
+        try:
+            queued = _wait_until(lambda: app.pending == 1)
+            third, _ = app.request(
+                "POST", "/v1/solve", {"graph": "uploaded", "k": 4}
+            )
+        finally:
+            release.set()
+            first.join(timeout=10)
+            second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert held and queued
+        assert third == 429
+        assert statuses == {"first": 200, "second": 200}
+        assert app.metrics.rejected == 1
+
+    def test_abandoned_job_frees_its_slot(self, app, monkeypatch):
+        """A job whose requester timed out before it started is
+        dropped: its slot frees at once, and its work never runs."""
+        import repro.service.app as app_module
+
+        real_solve = app_module.solve
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held_solve(request, prepared):
+            entered.set()
+            release.wait(timeout=5.0)
+            return real_solve(request, prepared)
+
+        monkeypatch.setattr(app_module, "solve", held_solve)
+        app.max_pending = 1
+        _, created = app.request(
+            "POST", "/v1/stream/sessions", {"universe": ["a", "b", "c"]}
+        )
+        sid = created["session"]
+        events = f"/v1/stream/sessions/{sid}/events"
+
+        async def main():
+            held = asyncio.ensure_future(
+                app.dispatch(
+                    "POST", "/v1/solve", {"graph": "uploaded", "k": 2}
+                )
+            )
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                abandoned = await app.dispatch(
+                    "POST",
+                    events,
+                    {
+                        "events": [{"t": 0, "u": "a", "v": "b", "w": 1.0}],
+                        "timeout": 0.1,
+                    },
+                )
+                follower = asyncio.ensure_future(
+                    app.dispatch(
+                        "POST",
+                        events,
+                        {"events": [{"t": 1, "u": "b", "v": "c", "w": 1.0}]},
+                    )
+                )
+                # One loop turn: the follower reaches admission while
+                # the worker is still held.
+                await asyncio.sleep(0)
+            finally:
+                release.set()
+            return abandoned, await follower, await held
+
+        abandoned, follower, held = asyncio.run(main())
+        assert abandoned.status == 504
+        assert follower.status == 200
+        assert held.status == 200
+        _, info = app.request("GET", f"/v1/stream/sessions/{sid}")
+        assert (info["events"], info["batches"]) == (1, 1)
 
     def test_rejections_counted_in_metrics(self, app):
         app.metrics.rejected = 3

@@ -93,11 +93,8 @@ def reference_keys(records, n_steps, window=3, min_score=0.0):
 class LoopThread:
     """One background event loop shared by every concurrent caller.
 
-    ``ServiceApp.request`` runs a private ``asyncio.run`` per call, so
-    two *threads* calling it would each rebind the app's queue and pool
-    mid-flight.  Real concurrency therefore goes through one loop:
-    threads submit coroutines with ``run_coroutine_threadsafe`` and the
-    app binds once.
+    This is the server's shape: every connection runs on one loop.
+    Threads submit coroutines with ``run_coroutine_threadsafe``.
     """
 
     def __init__(self) -> None:
@@ -657,6 +654,67 @@ class TestAlertCursor:
         assert status == 200
         assert payload["alerts"] == []
         assert time.perf_counter() - start >= 0.1
+
+    def test_poll_does_not_wait_for_a_running_batch(self, app, monkeypatch):
+        """A batch holds its session's lock through its solves; a poll
+        answers at once with what the last finished batch published."""
+        sid = create_session(app)
+        events = f"/v1/stream/sessions/{sid}/events"
+        alerts = f"/v1/stream/sessions/{sid}/alerts"
+        records = burst_records()
+        status, before = app.request(
+            "POST", events, {"events": records[:16], "advance_to": 8}
+        )
+        assert status == 200 and before["alerts"]
+        engine = app.sessions.get(sid).engine
+        real_advance = engine.advance_to
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held_advance(step):
+            if not entered.is_set():
+                entered.set()
+                release.wait()
+            return real_advance(step)
+
+        monkeypatch.setattr(engine, "advance_to", held_advance)
+        posted = []
+        batch = threading.Thread(
+            target=lambda: posted.append(
+                app.request(
+                    "POST",
+                    events,
+                    {"events": records[16:], "advance_to": 12},
+                )
+            )
+        )
+        # Bounds the hold, so a poll that waits for the batch fails the
+        # timing check instead of hanging.
+        backstop = threading.Timer(2.0, release.set)
+        backstop.start()
+        batch.start()
+        try:
+            held = entered.wait(timeout=5.0)
+            start = time.perf_counter()
+            status, polled = app.request("GET", alerts)
+            elapsed = time.perf_counter() - start
+        finally:
+            release.set()
+            backstop.cancel()
+            batch.join(timeout=10)
+        assert not batch.is_alive()
+        assert held
+        assert status == 200
+        assert elapsed < 0.5
+        assert polled["alerts"] == before["alerts"]
+        assert (polled["cursor"], polled["step"]) == (
+            before["cursor"],
+            before["step"],
+        )
+        assert posted[0][0] == 200 and posted[0][1]["alerts"]
+        _, after = app.request("GET", f"{alerts}?cursor={polled['cursor']}")
+        assert after["alerts"] == posted[0][1]["alerts"]
+        assert after["step"] == 12
 
     def test_long_poll_wakes_on_concurrent_ingest(self, app, loop_thread):
         sid = create_session(app)
