@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test coverage lint lint-invariants bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke bench docs-check check
+.PHONY: test coverage lint lint-invariants bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke examples-smoke bench docs-check check
 
 ## Full test suite (tier-1 gate; fast).
 test:
@@ -116,6 +116,18 @@ bench-scale:
 obs-smoke:
 	$(PYTHON) examples/obs_tour.py
 
+## Examples smoke: run every standalone example end to end (the
+## server tours run under serve-smoke, session-smoke, scale-smoke and
+## obs-smoke, and custom_backend.py under docs-check).
+EXAMPLES := quickstart anomaly_detection batch_queries emerging_communities \
+	streaming_events streaming_monitor trend_detection
+
+examples-smoke:
+	@set -e; for name in $(EXAMPLES); do \
+		echo "examples/$$name.py"; \
+		$(PYTHON) examples/$$name.py > /dev/null; \
+	done
+
 ## Every table/figure reproduction benchmark (slow; writes rendered
 ## artefacts to benchmarks/output/).
 bench:
@@ -130,4 +142,4 @@ docs-check:
 	@echo "README + example doctests OK"
 
 ## Everything a PR should pass.
-check: test docs-check bench-smoke
+check: test docs-check examples-smoke bench-smoke

@@ -73,7 +73,6 @@ def _run_sessions(streams):
             universe=stream.universe,
             window=WINDOW,
             min_score=MIN_SCORE,
-            policy="exact",
         )
         sids.append(session.sid)
     chunked = [_by_chunk(stream) for stream in streams]

@@ -7,22 +7,16 @@ them from scratch every step — **without changing a single alert**.
 
 Three measurements on a planted-burst event workload sweep:
 
-1. **Exact-policy speedup**: the incremental engine (``policy="exact"``,
-   answer-faithful solve scheduling) against :func:`snapshot_recompute`
-   (the ContrastMonitor loop: materialise the snapshot, rebuild the
-   window mean, rebuild the difference graph, full solve — every step).
+1. **Speedup**: the incremental engine (answer-faithful solve
+   scheduling: reuse the last answer on a clean step, solve the active
+   subgraph on a dirty one) against :func:`snapshot_recompute` (the
+   ContrastMonitor loop: materialise the snapshot, rebuild the window
+   mean, rebuild the difference graph, full solve — every step).
    Gated at >= 3x at the largest event count, with identical alert sets
    and per-step scores.
-2. **Gated-policy behaviour**: the incumbent-holding driver must issue
-   strictly fewer full solves while agreeing on every fired
-   (above-threshold) alert.
-3. **Backend parity**: the sparse engine agrees with the python engine.
-4. **Top-k legs** (``k=3``, the maintained-ranking path): the sparse
-   exact engine flags the python exact engine's alerts, the gated
-   engines fire on the exact ones, and the sparse gated log equals the
-   python gated log entry by entry.  Gated ``k=3`` is not held to
-   fewer full solves: on this workload it never holds at the two
-   larger sizes.
+2. **Backend parity**: the sparse engine agrees with the python engine.
+3. **Top-k leg** (``k=3``, the ranked-answer path): the sparse engine
+   flags the python engine's alerts.
 """
 
 from __future__ import annotations
@@ -42,10 +36,10 @@ SIZES = ((300, 30), (700, 40), (1200, 50))
 SPEEDUP_FLOOR = 3.0
 WINDOW = 5
 MIN_SCORE = 1e-6
-#: Fired-alert threshold for the gated-policy comparison: well above
-#: background noise, well below the planted burst.
+#: Fired-alert threshold for the burst check: well above background
+#: noise, well below the planted burst.
 FIRE_THRESHOLD = 2.0
-#: Incumbents the top-k legs maintain.
+#: Answers the top-k leg keeps.
 TOPK = 3
 
 
@@ -55,8 +49,7 @@ def _workload(n: int, steps: int):
         n_steps=steps,
         base_p=0.05,
         # Sparse background churn: most of the network is quiet at any
-        # step, which is both the realistic regime and the one where
-        # incumbent gating has locality to exploit.
+        # step, the realistic regime.
         reobserve_p=0.003,
         anomaly_size=8,
         anomaly_start=steps // 2,
@@ -65,12 +58,11 @@ def _workload(n: int, steps: int):
     )
 
 
-def _run_engine(stream, policy: str, backend: str = "python", k: int = 1):
+def _run_engine(stream, backend: str = "python", k: int = 1):
     engine = StreamingDCSEngine(
         stream.universe,
         window=WINDOW,
         min_score=MIN_SCORE,
-        policy=policy,
         backend=backend,
         k=k,
     )
@@ -78,15 +70,11 @@ def _run_engine(stream, policy: str, backend: str = "python", k: int = 1):
     return engine, alerts
 
 
-def _entries(log):
-    return [(a.step, a.subset, a.score, a.source) for a in log]
-
-
 def _sweep():
     rows = []
     for n, steps in SIZES:
         stream = _workload(n, steps)
-        (engine, mine), t_engine = timed(_run_engine, stream, "exact")
+        (engine, mine), t_engine = timed(_run_engine, stream)
         naive, t_naive = timed(
             snapshot_recompute,
             stream.log.events,
@@ -95,50 +83,30 @@ def _sweep():
             window=WINDOW,
             min_score=MIN_SCORE,
         )
-        (gated_engine, gated), t_gated = timed(_run_engine, stream, "gated")
-        (_, topk), t_topk = timed(_run_engine, stream, "exact", k=TOPK)
-        (_, topk_gated), t_topk_gated = timed(
-            _run_engine, stream, "gated", k=TOPK
-        )
+        (_, topk), t_topk = timed(_run_engine, stream, k=TOPK)
         row = {
             "n": n,
             "steps": steps,
             "events": stream.n_events,
             "t_engine": t_engine,
             "t_naive": t_naive,
-            "t_gated": t_gated,
             "t_topk": t_topk,
-            "t_topk_gated": t_topk_gated,
             "speedup": t_naive / t_engine,
-            "speedup_gated": t_naive / t_gated,
             "stats": engine.stats,
-            "gated_stats": gated_engine.stats,
             "alerts": mine,
-            "gated_alerts": gated,
             "naive_alerts": naive,
             "topk_alerts": topk,
-            "topk_gated_alerts": topk_gated,
             "stream": stream,
         }
         if scipy_available():
             (sp_engine, sp_alerts), t_sparse = timed(
-                _run_engine, stream, "exact", "sparse"
+                _run_engine, stream, "sparse"
             )
             row["sparse_alerts"] = sp_alerts
             row["t_sparse"] = t_sparse
             row["sparse_stats"] = sp_engine.stats
-            # Gated sparse engine: solves on the sparse backend,
-            # re-scores held incumbents on the same dict difference
-            # graph as the python engine, so its log must match.
-            (_, sp_gated_alerts), _ = timed(
-                _run_engine, stream, "gated", "sparse"
-            )
-            row["sparse_gated_alerts"] = sp_gated_alerts
-            for policy in ("exact", "gated"):
-                (_, alerts), _ = timed(
-                    _run_engine, stream, policy, "sparse", TOPK
-                )
-                row[f"sparse_topk_{policy}_alerts"] = alerts
+            (_, alerts), _ = timed(_run_engine, stream, "sparse", TOPK)
+            row["sparse_topk_exact_alerts"] = alerts
         rows.append(row)
     return rows
 
@@ -155,9 +123,8 @@ def test_streaming(benchmark):
             "naive (s)",
             "engine (s)",
             "speedup",
-            "gated (s)",
-            "full solves (naive/exact/gated)",
-            f"k={TOPK} exact/gated (s)",
+            "full solves (naive/engine)",
+            f"k={TOPK} (s)",
         ],
     )
     for row in rows:
@@ -170,10 +137,8 @@ def test_streaming(benchmark):
                 f"{row['t_naive']:.3f}",
                 f"{row['t_engine']:.3f}",
                 f"{row['speedup']:.1f}x",
-                f"{row['t_gated']:.3f}",
-                f"{naive_solves}/{row['stats'].full_solves}"
-                f"/{row['gated_stats'].full_solves}",
-                f"{row['t_topk']:.3f}/{row['t_topk_gated']:.3f}",
+                f"{naive_solves}/{row['stats'].full_solves}",
+                f"{row['t_topk']:.3f}",
             ]
         )
     emit(
@@ -187,25 +152,16 @@ def test_streaming(benchmark):
                     "events": row["events"],
                     "naive_seconds": row["t_naive"],
                     "engine_seconds": row["t_engine"],
-                    "gated_seconds": row["t_gated"],
                     "topk_seconds": row["t_topk"],
-                    "topk_gated_seconds": row["t_topk_gated"],
                     "speedup": row["speedup"],
                 }
                 for row in rows
             ],
-            "gates": {
-                "gated_fewer_solves": all(
-                    row["gated_stats"].full_solves
-                    < row["stats"].full_solves
-                    for row in rows
-                ),
-            },
         },
     )
 
     for row in rows:
-        mine, naive, gated = row["alerts"], row["naive_alerts"], row["gated_alerts"]
+        mine, naive = row["alerts"], row["naive_alerts"]
         # 1. Alert parity: the exact engine and the naive recompute flag
         #    the same (step, subset) pairs with the same scores.
         assert alert_keys(mine) == alert_keys(naive), f"n={row['n']}"
@@ -223,31 +179,14 @@ def test_streaming(benchmark):
         )
         for alert in hot:
             assert alert.subset >= stream.anomaly_members
-        # 3. Gated policy: same fired alerts, strictly fewer full solves.
-        assert alert_keys(
-            gated.fired(FIRE_THRESHOLD)
-        ) == alert_keys(naive.fired(FIRE_THRESHOLD))
-        assert row["gated_stats"].full_solves < row["stats"].full_solves
-        assert row["gated_stats"].incumbent_holds > 0
-        # 4. Backend parity: the sparse engines flag the same alerts,
-        #    and the gated sparse log equals the python gated log entry
-        #    by entry — step, subset, score and source.
+        # 4. Backend parity: the sparse engine flags the same alerts.
         if "sparse_alerts" in row:
             assert alert_keys(row["sparse_alerts"]) == alert_keys(mine)
-            assert _entries(row["sparse_gated_alerts"]) == _entries(
-                gated
-            ), f"n={row['n']}"
         # 5. Top-k legs: the same parity on the maintained ranking path.
-        topk, topk_gated = row["topk_alerts"], row["topk_gated_alerts"]
-        assert alert_keys(
-            topk_gated.fired(FIRE_THRESHOLD)
-        ) == alert_keys(topk.fired(FIRE_THRESHOLD)), f"n={row['n']}"
+        topk = row["topk_alerts"]
         if "sparse_topk_exact_alerts" in row:
             assert alert_keys(row["sparse_topk_exact_alerts"]) == alert_keys(
                 topk
-            ), f"n={row['n']}"
-            assert _entries(row["sparse_topk_gated_alerts"]) == _entries(
-                topk_gated
             ), f"n={row['n']}"
 
     # 6. The speedup gate, at the largest event count.

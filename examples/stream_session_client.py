@@ -74,7 +74,6 @@ def tour(base: str) -> None:
         "universe": ["ada", "bob", "cy", "dee"],
         "window": 3,
         "threshold": 2.0,
-        "policy": "exact",
         "k": 2,
     })
     sid = created["session"]

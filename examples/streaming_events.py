@@ -41,9 +41,7 @@ def main() -> None:
         f"{stream.anomaly_start}..{stream.anomaly_end - 1}\n"
     )
 
-    engine = StreamingDCSEngine(
-        stream.universe, window=5, min_score=1e-6, policy="gated"
-    )
+    engine = StreamingDCSEngine(stream.universe, window=5, min_score=1e-6)
     start = time.perf_counter()
     alerts = engine.run(stream.log.events, n_steps=stream.n_steps)
     t_engine = time.perf_counter() - start
@@ -81,8 +79,6 @@ def main() -> None:
     print(f"identical fired alerts: {same}")
     print(
         f"engine work: {stats.full_solves} full solves, "
-        f"{stats.incumbent_holds} incumbent holds, "
-        f"{stats.local_probes} local probes, "
         f"{stats.cache_hits} cache hits over {stats.steps} steps "
         f"({stats.diff_edits} difference edits from {stats.events} events)"
     )

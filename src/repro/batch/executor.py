@@ -244,7 +244,6 @@ def execute_payload(
             measure=params["measure"],
             warmup=params["warmup"],
             backend=params["backend"],
-            policy=params["policy"],
             min_score=params["threshold"],
             tol_scale=params["tol_scale"],
         )
@@ -267,8 +266,6 @@ def execute_payload(
                 "events": stats.events,
                 "full_solves": stats.full_solves,
                 "cache_hits": stats.cache_hits,
-                "incumbent_holds": stats.incumbent_holds,
-                "local_probes": stats.local_probes,
             },
         }
     raise ValueError(f"unknown query kind {kind!r}")

@@ -167,7 +167,6 @@ class BatchQuery:
     # stream replay
     window: int = 5
     measure: str = "average_degree"
-    policy: str = "exact"
     warmup: Optional[int] = None
     threshold: float = 0.0
     steps: Optional[int] = None
@@ -206,8 +205,6 @@ class BatchQuery:
                 raise InputMismatchError(
                     f"unknown measure {self.measure!r}"
                 )
-            if self.policy not in ("exact", "gated"):
-                raise InputMismatchError(f"unknown policy {self.policy!r}")
         else:
             if self.source.kind == "events":
                 raise InputMismatchError(
@@ -234,7 +231,6 @@ class BatchQuery:
                 "kind": "stream",
                 "window": self.window,
                 "measure": self.measure,
-                "policy": self.policy,
                 "warmup": self.warmup,
                 "threshold": self.threshold,
                 "steps": self.steps,

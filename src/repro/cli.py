@@ -320,14 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="steps to observe before alerting (default: the window size)",
     )
     stream.add_argument(
-        "--policy",
-        choices=("exact", "gated"),
-        default="exact",
-        help="solve scheduling: 'exact' flags the same alerts as batch "
-        "recompute (scores equal up to float rounding), 'gated' holds "
-        "incumbents for fewer solves",
-    )
-    stream.add_argument(
         "--threshold",
         type=float,
         default=0.0,
@@ -343,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--top-k",
         type=int,
         default=1,
-        help="maintain k incumbent answers; the final ranking is "
+        help="rank k answers per solve; the final ranking is "
         "summarised on stderr (default 1)",
     )
     add_backend(stream)
@@ -474,7 +466,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             measure=args.measure,
             warmup=args.warmup,
             backend=args.backend,
-            policy=args.policy,
             min_score=args.threshold,
             k=args.top_k,
         )
@@ -486,8 +477,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(alert.to_json())
     print(
         f"# steps={stats.steps} events={stats.events} alerts={len(alerts)} "
-        f"solves={stats.full_solves} cache_hits={stats.cache_hits} "
-        f"holds={stats.incumbent_holds} probes={stats.local_probes}",
+        f"solves={stats.full_solves} cache_hits={stats.cache_hits}",
         file=sys.stderr,
     )
     if args.top_k > 1:

@@ -22,17 +22,7 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Literal,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Literal, Optional, Set, Tuple
 
 from repro.core.dcsad import DCSADResult, dcs_greedy
 from repro.core.newsea import solve_all_initializations
@@ -188,183 +178,3 @@ def coverage(results: List[RankedDCS]) -> Set[Vertex]:
     for item in results:
         covered |= item.subset
     return covered
-
-
-# ----------------------------------------------------------------------
-# incremental maintenance (the streaming engine's k incumbents)
-# ----------------------------------------------------------------------
-def _subset_order_key(subset: FrozenSet[Vertex]) -> Tuple[int, str]:
-    """Deterministic tie-break so equal scores rank reproducibly."""
-    return (len(subset), repr(sorted(subset, key=repr)))
-
-
-@dataclass
-class _Candidate:
-    """One maintained answer; mutable so re-scoring edits in place."""
-
-    subset: FrozenSet[Vertex]
-    score: float
-    embedding: Optional[Dict[Vertex, float]] = None
-
-
-class IncrementalTopK:
-    """Maintain the best ``k`` (subset, score) answers under updates.
-
-    The batch functions above recompute a ranking from scratch; a
-    streaming session instead *maintains* one: fresh solve results are
-    :meth:`offer`-ed (or the whole set :meth:`replace`-d after a full
-    top-k solve), and the gated policy's per-incumbent re-scoring goes
-    through :meth:`rescore`, which re-sorts — so rank membership can
-    change without any new offer, which is exactly why consumers must
-    read answers from this structure rather than from a step-count
-    keyed cache.
-
-    Invariants (property-tested): candidates are unique by subset,
-    sorted by decreasing score (deterministic tie-break on the subset),
-    at most ``k`` retained, and every retained score is strictly above
-    ``min_score``.  The maintained set therefore always equals the
-    best-k of everything offered since the last :meth:`clear` /
-    :meth:`replace`, deduplicated by subset at each subset's best
-    score.
-    """
-
-    def __init__(self, k: int, min_score: float = 0.0) -> None:
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
-        self.min_score = min_score
-        self._candidates: List[_Candidate] = []
-
-    # -- reads ---------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._candidates)
-
-    def __contains__(self, subset: Iterable[Vertex]) -> bool:
-        key = frozenset(subset)
-        return any(c.subset == key for c in self._candidates)
-
-    @property
-    def best(self) -> Optional[RankedDCS]:
-        """The rank-0 answer, or ``None`` while empty."""
-        ranked = self.as_ranked()
-        return ranked[0] if ranked else None
-
-    @property
-    def worst_score(self) -> float:
-        """Score of the current k-th answer (``min_score`` while the
-        structure is not full — anything above it may enter)."""
-        if len(self._candidates) < self.k:
-            return self.min_score
-        return self._candidates[-1].score
-
-    def subsets(self) -> List[FrozenSet[Vertex]]:
-        """Retained subsets in rank order."""
-        return [c.subset for c in self._candidates]
-
-    def scores(self) -> List[float]:
-        """Retained scores in rank order."""
-        return [c.score for c in self._candidates]
-
-    def as_ranked(self) -> List[RankedDCS]:
-        """The maintained answers as :class:`RankedDCS` rows."""
-        return [
-            RankedDCS(
-                rank=rank,
-                subset=set(c.subset),
-                objective=c.score,
-                embedding=(
-                    dict(c.embedding) if c.embedding is not None else None
-                ),
-            )
-            for rank, c in enumerate(self._candidates)
-        ]
-
-    # -- writes --------------------------------------------------------
-    def clear(self) -> None:
-        self._candidates = []
-
-    def offer(
-        self,
-        subset: Iterable[Vertex],
-        score: float,
-        embedding: Optional[Dict[Vertex, float]] = None,
-    ) -> bool:
-        """Consider one answer; returns whether the top-k changed.
-
-        A subset already retained keeps its best score (a worse re-offer
-        is a no-op); a new subset enters if it beats the current k-th —
-        score ties at the boundary resolve by the deterministic subset
-        order, so the maintained set never depends on offer order.
-        Scores at or below ``min_score`` never enter.
-        """
-        if score <= self.min_score:
-            return False
-        key = frozenset(subset)
-        if not key:
-            return False
-        for candidate in self._candidates:
-            if candidate.subset == key:
-                if score <= candidate.score:
-                    return False
-                candidate.score = score
-                if embedding is not None:
-                    candidate.embedding = dict(embedding)
-                self._sort()
-                return True
-        if len(self._candidates) >= self.k:
-            last = self._candidates[-1]
-            offered = (-score,) + _subset_order_key(key)
-            retained = (-last.score,) + _subset_order_key(last.subset)
-            if offered >= retained:
-                return False
-        self._candidates.append(
-            _Candidate(
-                subset=key,
-                score=score,
-                embedding=dict(embedding) if embedding is not None else None,
-            )
-        )
-        self._sort()
-        del self._candidates[self.k :]
-        return True
-
-    def replace(
-        self,
-        answers: Iterable[
-            Tuple[Iterable[Vertex], float, Optional[Dict[Vertex, float]]]
-        ],
-    ) -> None:
-        """Install a fresh answer set (a full top-k solve), discarding
-        the maintained one."""
-        self.clear()
-        for subset, score, embedding in answers:
-            self.offer(subset, score, embedding)
-
-    def rescore(
-        self,
-        score_of: Callable[[FrozenSet[Vertex]], Optional[float]],
-    ) -> bool:
-        """Re-evaluate every retained answer on updated data.
-
-        ``score_of`` maps a subset to its new score, or ``None`` to drop
-        it (e.g. its support dissolved).  Candidates falling to or below
-        ``min_score`` are dropped too; survivors re-sort, so ranks —
-        including rank 0 — can move without any offer.  Returns whether
-        membership or order changed.
-        """
-        before = [(c.subset, c.score) for c in self._candidates]
-        survivors: List[_Candidate] = []
-        for candidate in self._candidates:
-            new_score = score_of(candidate.subset)
-            if new_score is None or new_score <= self.min_score:
-                continue
-            candidate.score = new_score
-            survivors.append(candidate)
-        self._candidates = survivors
-        self._sort()
-        return before != [(c.subset, c.score) for c in self._candidates]
-
-    def _sort(self) -> None:
-        self._candidates.sort(
-            key=lambda c: (-c.score,) + _subset_order_key(c.subset)
-        )

@@ -100,6 +100,14 @@ _LONG_POLL_TICK = 0.02
 #: Keys of a solve record that ride outside the canonical answer.
 _OUT_OF_BAND = ("timings", "provenance")
 
+#: The fields a session-create body may carry.
+_SESSION_FIELDS = frozenset(
+    [
+        "universe", "graph", "window", "measure", "threshold", "warmup",
+        "backend", "k", "tol_scale", "topk_strategy",
+    ]
+)
+
 #: Extra seconds the awaiting side grants beyond the query budget
 #: before answering 504 (covers queue hop and result marshalling).
 _TIMEOUT_GRACE = 0.05
@@ -669,7 +677,9 @@ class ServiceApp:
 
         The cache stores the canonical record (out-of-band keys
         stripped); a hit answers it with empty timings and this
-        request's provenance.
+        request's provenance.  ``seconds`` counts from the request's
+        arrival, so a hit or a miss queued behind other jobs reports
+        that wait too.
         """
         body = request.json()
         if not isinstance(body, dict):
@@ -714,11 +724,10 @@ class ServiceApp:
             )
             raise
         fingerprint = prepared.fingerprint
-        start = time.perf_counter()
         key = cache_key(fingerprint, params)
         hit = self.cache.get(key)
         if hit is not None:
-            seconds = time.perf_counter() - start
+            seconds = time.perf_counter() - arrived
             self.metrics.observe_query("ok", seconds)
             record = dict(hit["payload"])
             record["timings"] = {}
@@ -752,7 +761,7 @@ class ServiceApp:
             )
         except ServiceDeadlineError as exc:
             status, value = "timeout", str(exc)
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - arrived
         self.metrics.observe_query(status, elapsed)
         if (
             self.slow_query_seconds is not None
@@ -907,6 +916,11 @@ class ServiceApp:
         body = request.json()
         if not isinstance(body, dict):
             raise HttpError(400, "session body must be a JSON object")
+        unknown = set(body) - _SESSION_FIELDS
+        if unknown:
+            raise HttpError(
+                400, f"unknown session field(s) {sorted(unknown)}"
+            )
         universe = body.get("universe")
         graph = body.get("graph")
         if universe is not None and (
@@ -922,7 +936,6 @@ class ServiceApp:
         kwargs: Dict[str, Any] = {
             "window": _field_int(body, "window", 5),
             "measure": str(body.get("measure", "average_degree")),
-            "policy": str(body.get("policy", "exact")),
             "min_score": _field_float(body, "threshold", 0.0),
             "backend": str(body.get("backend", "python")),
             "k": _field_int(body, "k", 1),
@@ -931,10 +944,6 @@ class ServiceApp:
         warmup = _field_optional_int(body, "warmup")
         if warmup is not None:
             kwargs["warmup"] = warmup
-        if body.get("drift_ratio") is not None:
-            kwargs["drift_ratio"] = _field_float(body, "drift_ratio", 0.5)
-        if body.get("hold_margin") is not None:
-            kwargs["hold_margin"] = _field_float(body, "hold_margin", 0.5)
         if body.get("topk_strategy") is not None:
             kwargs["topk_strategy"] = str(body["topk_strategy"])
         self.sessions.expire_idle()

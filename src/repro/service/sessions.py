@@ -4,7 +4,7 @@ A *session* is the service's stream path: a tenant creates one
 (:class:`SessionManager.create`), posts event batches as its network
 produces them, and polls the accumulated alert feed by cursor.  Each
 session wraps one :class:`~repro.stream.engine.StreamingDCSEngine`
-(window, measure, policy, ``k`` incumbents — the full engine
+(window, measure, ``k`` ranked answers — the full engine
 vocabulary), so the paper's anomaly-monitoring story runs resident
 instead of per-request.  Posting a finished log in batches leaves the
 feed :func:`~repro.stream.engine.replay_events` gives on that log.
@@ -13,8 +13,10 @@ Isolation is the design centre:
 
 * **State** — every session owns its engine behind its own lock, held
   through a batch's solves; what a finished batch publishes (alerts,
-  step, phase stats) sits behind a lock held only for a copy, so polls
-  never wait.  The service's one worker thread runs batches in turn.
+  step, counters, top-k, phase stats) sits behind a lock held only for
+  a copy, so polls, ``describe`` and ``close`` never wait for a
+  running batch.  The service's one worker thread runs batches in
+  turn.
 * **Faults** — a solver blowing up mid-step marks *that* session failed
   (:class:`SessionFailedError` on further use; ``close`` still works)
   and touches nothing else; client mistakes (unknown vertices,
@@ -107,9 +109,10 @@ def events_from_records(records: Any) -> List[EdgeEvent]:
 class StreamSession:
     """One tenant: an engine, its alert feed, and its bookkeeping.
 
-    A batch runs under :attr:`lock` (the manager acquires it) and
-    publishes under :attr:`feed_lock`, which a poll takes alone; the
-    alert feed is append-only, so cursors are simple indices.
+    A batch runs under :attr:`lock` (the manager acquires it) and ends
+    with :meth:`publish`; polls, :meth:`describe` and ``close`` take
+    only :attr:`feed_lock`, so none of them waits for a running batch.
+    The alert feed is append-only, so cursors are simple indices.
     """
 
     def __init__(
@@ -123,13 +126,10 @@ class StreamSession:
         #: the creation parameters echoed back by GET (diagnostics)
         self.config = config
         self.lock = threading.Lock()
-        #: guards the published alerts, step and phase_stats below
+        #: guards the alerts, summary and phase_stats below
         self.feed_lock = threading.Lock()
         #: every alert the engine ever emitted, as JSON-ready dicts
         self.alerts: List[Dict[str, Any]] = []
-        #: engine step and phase_stats() as of the last finished batch
-        self.step = engine.step
-        self.phase_stats = engine.phase_stats()
         self.created = time.monotonic()
         self.last_used = self.created
         #: error text once the solver failed (session is then read/close
@@ -137,6 +137,11 @@ class StreamSession:
         self.failed: Optional[str] = None
         self.events_seen = 0
         self.batches = 0
+        #: step, counters and top-k as of the last finished batch
+        self.summary: Dict[str, Any] = {}
+        #: engine phase_stats() as of the last finished batch
+        self.phase_stats: Dict[str, Any] = {}
+        self.publish([])
 
     @property
     def cells(self) -> int:
@@ -152,36 +157,60 @@ class StreamSession:
         """The registry charge key of this session."""
         return f"session:{self.sid}"
 
-    def describe(self) -> Dict[str, Any]:
-        """JSON summary (caller holds :attr:`lock`)."""
-        stats = self.engine.stats
-        return {
-            "session": self.sid,
-            "config": dict(self.config),
-            "step": self.engine.step,
+    def publish(self, new_alerts: List[Dict[str, Any]]) -> int:
+        """Append a finished batch's alerts and snapshot the engine for
+        readers (caller holds :attr:`lock`); returns the feed cursor."""
+        engine = self.engine
+        stats = engine.stats
+        summary: Dict[str, Any] = {
+            "step": engine.step,
             "events": self.events_seen,
             "batches": self.batches,
-            "alerts": len(self.alerts),
             "cells": self.cells,
-            "failed": self.failed,
-            "idle_seconds": round(time.monotonic() - self.last_used, 3),
             "stats": {
                 "steps": stats.steps,
                 "full_solves": stats.full_solves,
                 "cache_hits": stats.cache_hits,
-                "incumbent_holds": stats.incumbent_holds,
-                "local_probes": stats.local_probes,
-                "drift_fallbacks": stats.drift_fallbacks,
             },
+            "topk": [
+                {
+                    "rank": item.rank,
+                    "score": item.objective,
+                    "subset": sorted(str(v) for v in item.subset),
+                }
+                for item in engine.current_topk()
+            ],
+        }
+        phase_stats = engine.phase_stats()
+        with self.feed_lock:
+            self.alerts.extend(new_alerts)
+            self.summary = summary
+            self.phase_stats = phase_stats
+            return len(self.alerts)
+
+    def describe(self) -> Dict[str, Any]:
+        """JSON summary as of the last finished batch."""
+        with self.feed_lock:
+            summary = self.summary
+            alerts = len(self.alerts)
+        return {
+            "session": self.sid,
+            "config": dict(self.config),
+            **summary,
+            "alerts": alerts,
+            "failed": self.failed,
+            "idle_seconds": round(time.monotonic() - self.last_used, 3),
         }
 
 
 class SessionManager:
     """Owns every resident session; all public methods are thread-safe.
 
-    The manager's lock only guards the session table (create / lookup /
-    close); a batch runs under the session's own lock, a poll under its
-    feed lock, so slow ingestion never blocks any tenant's poll.
+    The manager's lock guards the session table (create / lookup /
+    close) and each registry charge against it, so only a resident
+    session is ever charged; a batch runs under the session's own lock,
+    a poll, ``describe`` or ``close`` under its feed lock, so slow
+    ingestion never blocks any tenant's reads.
     """
 
     def __init__(
@@ -223,8 +252,8 @@ class SessionManager:
         """Create a session over an explicit *universe* or a registered
         *graph* (whose vertex set becomes the universe).
 
-        Engine keyword arguments (``window``, ``measure``, ``policy``,
-        ``k``, ``min_score``, ...) pass through to
+        Engine keyword arguments (``window``, ``measure``, ``k``,
+        ``min_score``, ...) pass through to
         :class:`~repro.stream.engine.StreamingDCSEngine`, which
         validates them — a bad configuration fails here, before the
         session exists.  Raises :class:`SessionLimitError` when
@@ -247,7 +276,6 @@ class SessionManager:
         config: Dict[str, Any] = {
             "window": engine.window,
             "measure": engine.measure,
-            "policy": engine.policy,
             "warmup": engine.warmup,
             "backend": engine.backend,
             "threshold": engine.min_score,
@@ -266,7 +294,7 @@ class SessionManager:
             session = StreamSession(sid, engine, config)
             self._sessions[sid] = session
             self.created += 1
-        self.registry.charge(session.owner, session.cells)
+            self.registry.charge(session.owner, session.cells)
         return session
 
     def get(self, sid: str) -> StreamSession:
@@ -278,17 +306,17 @@ class SessionManager:
         return session
 
     def close(self, sid: str) -> Optional[Dict[str, Any]]:
-        """Tear down *sid*; returns its final summary, or ``None`` if
-        it was not resident (idempotent — a double close is not an
-        error worth a 404 race)."""
+        """Tear down *sid*; returns its summary as of its last finished
+        batch, or ``None`` if it was not resident (idempotent — a
+        double close is not an error worth a 404 race).  A batch still
+        running finishes in the background but charges nothing."""
         with self._lock:
             session = self._sessions.pop(sid, None)
             if session is None:
                 return None
             self.closed += 1
-        self.registry.discharge(session.owner)
-        with session.lock:
-            return session.describe()
+            self.registry.discharge(session.owner)
+        return session.describe()
 
     def expire_idle(self, now: Optional[float] = None) -> List[str]:
         """Close every session idle beyond ``ttl``; returns their ids.
@@ -376,18 +404,16 @@ class SessionManager:
             session.events_seen += len(events)
             session.batches += 1
             new_alerts = [_alert_record(alert) for alert in fresh]
+            cursor = session.publish(new_alerts)
             step = engine.step
-            phase_stats = engine.phase_stats()
-            with session.feed_lock:
-                session.alerts.extend(new_alerts)
-                session.step = step
-                session.phase_stats = phase_stats
-                cursor = len(session.alerts)
             cells = session.cells
         with self._lock:
             self.events_total += len(events)
             self.alerts_total += len(new_alerts)
-        self.registry.charge(session.owner, cells)
+            # Under the table lock, so a close or expiry that already
+            # popped (and discharged) the session is never re-charged.
+            if self._sessions.get(sid) is session:
+                self.registry.charge(session.owner, cells)
         return new_alerts, cursor, step
 
     def alerts_since(
@@ -411,35 +437,25 @@ class SessionManager:
             return (
                 list(session.alerts[cursor:]),
                 len(session.alerts),
-                session.step,
+                session.summary["step"],
             )
 
     def phase_stats(self, sid: str) -> Dict[str, Any]:
         """The engine's phase stats as of the last finished batch.
 
         The per-session observability block the alerts route serves:
-        scheduling counters (full solves, cache hits, holds, probes,
-        fallbacks), current dirty-region sizes, and the last answered
-        step's :class:`~repro.stream.engine.StepProfile`.
+        scheduling counters (full solves, cache hits), the touched
+        vertex count, and the last answered step's
+        :class:`~repro.stream.engine.StepProfile`.
         """
         session = self.get(sid)
         with session.feed_lock:
             return session.phase_stats
 
     def describe(self, sid: str) -> Dict[str, Any]:
-        """The session's JSON summary plus its maintained top-k."""
-        session = self.get(sid)
-        with session.lock:
-            record = session.describe()
-            record["topk"] = [
-                {
-                    "rank": item.rank,
-                    "score": item.objective,
-                    "subset": sorted(str(v) for v in item.subset),
-                }
-                for item in session.engine.current_topk()
-            ]
-            return record
+        """The session's JSON summary, top-k included, as of its last
+        finished batch."""
+        return self.get(sid).describe()
 
     # ------------------------------------------------------------------
     # introspection

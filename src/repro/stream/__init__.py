@@ -12,10 +12,10 @@ Data flow::
     EdgeEvent ──► SlidingWindowAccumulator ──► difference deltas
                       (window sums by             │
                        change-point segments)     ▼
-                                            DirtyRegion
+                                           touched vertices
                                                   │
                                                   ▼
-                               solve scheduling (cache / gated / full)
+                          clean → cached answer / dirty → full solve
                                                   │
                                                   ▼
                                       StreamAlert ──► AlertLog / JSON
@@ -28,14 +28,12 @@ parity gating), :func:`read_events` / :func:`write_events` (the
 
 from repro.stream.alerts import (
     SOURCE_CACHE,
-    SOURCE_INCUMBENT,
     SOURCE_SOLVE,
     AlertLog,
     StreamAlert,
     alert_keys,
 )
 from repro.stream.engine import (
-    DirtyRegion,
     EngineStats,
     SolveOutcome,
     StreamingDCSEngine,
@@ -56,12 +54,10 @@ from repro.stream.window import SlidingWindowAccumulator
 
 __all__ = [
     "SOURCE_CACHE",
-    "SOURCE_INCUMBENT",
     "SOURCE_SOLVE",
     "AlertLog",
     "StreamAlert",
     "alert_keys",
-    "DirtyRegion",
     "EngineStats",
     "SolveOutcome",
     "StreamingDCSEngine",

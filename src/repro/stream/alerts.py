@@ -2,9 +2,9 @@
 
 The engine's output contract mirrors the batch
 :class:`~repro.core.monitor.ContrastAlert`, extended with streaming
-provenance: which path produced the answer (a full solve, the cached
-previous solve, or a carried incumbent) so operators and benchmarks can
-see the incremental machinery working.
+provenance: which path produced the answer (a full solve or the cached
+previous solve) so operators and benchmarks can see the incremental
+machinery working.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.graph.graph import Vertex
 #: Provenance of an alert's answer.
 SOURCE_SOLVE = "solve"        # fresh full solve this step
 SOURCE_CACHE = "cache"        # difference graph unchanged; previous solve reused
-SOURCE_INCUMBENT = "incumbent"  # gated policy kept the incumbent answer
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,21 @@ The serving loop of the paper's anomaly use case: ingest
 :class:`~repro.stream.events.EdgeEvent` observations, maintain the
 expectation/difference machinery by deltas
 (:class:`~repro.stream.window.SlidingWindowAccumulator`), track which
-vertices' incident difference weights moved
-(:class:`DirtyRegion`), and answer "what is the densest contrast
-subgraph *right now*" without recomputing from scratch.
+vertices' incident difference weights moved since the last solve, and
+answer "what is the densest contrast subgraph *right now*" without
+recomputing from scratch.
 
-Its answers, the *incumbents*, live in one
-:class:`~repro.core.topk.IncrementalTopK` of the best ``k``: ``k=1``
-(the default, Section I) is its one-entry case, ``k>1`` the paper's
-Section VII top-k direction.  Every solve goes through the engine
-envelope (:func:`solve_difference`); alerts carry the rank-0 answer.
+Its answer is the ranking of the last solve: the best ``k`` strictly
+positive solutions, ``k=1`` (the default, Section I) or the paper's
+Section VII top-k direction for ``k>1``.  Every solve goes through the
+engine envelope (:func:`solve_difference`); alerts carry the rank-0
+answer.
 
-Solve scheduling — the incremental driver
------------------------------------------
+Solve scheduling
+----------------
 
-``policy="exact"`` (default) is answer-faithful to batch recompute —
-same alert subsets, scores equal up to float summation order:
+One schedule, answer-faithful to batch recompute — same alert subsets,
+scores equal up to float summation order:
 
 * **clean step** → the difference graph is unchanged since the last
   solve, so the previous answer is provably still the answer; reuse it
@@ -27,28 +27,6 @@ same alert subsets, scores equal up to float summation order:
   subgraph* (vertices with at least one nonzero difference edge) — the
   rest of the universe is isolated in ``GD`` and cannot join a densest
   subgraph candidate.
-
-``policy="gated"`` adds the incumbent heuristics on top (trading exact
-answer parity for far fewer full solves under churn).  Difference
-weights move for two reasons — new *events*, and the predictable
-*decay* of old contrast as the window absorbs it — and the gate treats
-them differently:
-
-* **events inside** an incumbent's closed neighbourhood → its
-  structure changed: full solve, with the previous incumbents
-  *warm-starting* the driver (a re-scored incumbent is kept if the
-  fresh greedy answer is worse — peeling is a heuristic and must never
-  regress below a carried answer).
-* **events elsewhere** → the incumbents are still the local optima
-  they were; their scores are refreshed by an O(|S| + vol S)
-  **re-score** on the maintained difference graph, and a **local
-  probe** solves only the evented neighbourhood, holding them unless
-  the probe finds a challenger (→ full solve).
-* **decay / drift fallbacks**: the incumbents are dropped and re-solved
-  once the best re-scored contrast falls below ``hold_margin`` of the
-  score that installed it, or once the cumulative evented region since
-  the last full solve covers more than ``drift_ratio`` of the universe.
-  An incumbent that decays to zero contrast leaves the ranking.
 
 :func:`snapshot_recompute` is the naive reference: materialise every
 step's snapshot, rebuild the window mean and the difference graph from
@@ -76,7 +54,7 @@ from typing import (
 
 from repro.core.difference import difference_graph
 from repro.core.monitor import mean_graph
-from repro.core.topk import IncrementalTopK, RankedDCS
+from repro.core.topk import RankedDCS
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
 from repro.engine.registry import get_backend
@@ -84,7 +62,6 @@ from repro.exceptions import InputMismatchError, VertexNotFound
 from repro.graph.graph import Graph, Vertex
 from repro.stream.alerts import (
     SOURCE_CACHE,
-    SOURCE_INCUMBENT,
     SOURCE_SOLVE,
     AlertLog,
     StreamAlert,
@@ -103,16 +80,11 @@ PRUNE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """What a solve of the current difference graph produced.
-
-    ``x`` carries the affinity embedding (support == subset) so a held
-    incumbent can be re-scored as ``x^T D x`` on the updated difference;
-    it is None for the average-degree measure.
-    """
+    """One strictly positive answer a solve of the difference graph
+    produced."""
 
     subset: FrozenSet[Vertex]
     score: float
-    x: Optional[Dict[Vertex, float]] = None
 
     @property
     def empty(self) -> bool:
@@ -120,6 +92,13 @@ class SolveOutcome:
 
 
 EMPTY_OUTCOME = SolveOutcome(subset=frozenset(), score=0.0)
+
+
+def _rank_key(outcome: SolveOutcome) -> Tuple[float, int, str]:
+    """Best first; equal scores rank by subset size, then by the repr
+    of the sorted subset, so ties never depend on solver order."""
+    subset = outcome.subset
+    return (-outcome.score, len(subset), repr(sorted(subset, key=repr)))
 
 
 def solve_difference(
@@ -141,9 +120,13 @@ def solve_difference(
     NewSEA on ``GD+`` (``affinity``), top-k when ``k > 1`` — with one
     :class:`~repro.engine.prepared.PreparedGraph` owning the positive
     part (KKT reporting is skipped: this is the per-step hot path).
-    Returns the strictly positive answers, best first: at most *k*, none
-    for a difference graph with no edges (or no positive edge under
-    ``affinity``).
+    Returns the strictly positive answers, at most *k*, best first with
+    ties broken on the subset (:func:`_rank_key`); none for a
+    difference graph with no edges (or no positive edge under
+    ``affinity``).  The answers are distinct subsets: top-k DCSGreedy
+    with vertex removal returns disjoint ones, a subset repeated under
+    edge removal has lost its induced edges (density 0, filtered), and
+    top-k NewSEA ranks deduplicated solutions.
     """
     if measure not in ("average_degree", "affinity"):
         raise ValueError(f"unknown measure {measure!r}")
@@ -165,66 +148,13 @@ def solve_difference(
         ),
         prepared,
     )
-    return [
-        SolveOutcome(
-            subset=frozenset(item.subset),
-            score=item.objective,
-            x=item.embedding,
-        )
+    answers = [
+        SolveOutcome(subset=frozenset(item.subset), score=item.objective)
         for item in result.ranked
         if item.objective > 0.0
     ]
-
-
-class DirtyRegion:
-    """Vertices whose incident difference weights changed since a mark.
-
-    Difference weights move for two very different reasons, and the
-    tracker separates them:
-
-    * **Touched** (``touched_since_answer``): *any* difference-weight
-      change, including the predictable shrink of an edge's contrast as
-      the sliding window absorbs an old surge ("decay").  While anything
-      is touched, a previously solved answer's *score* is stale — this
-      horizon drives cache validity.
-    * **Evented** (``evented_since_answer`` / ``evented_since_full``):
-      changes caused by an actual state change (a new observation).
-      Only these can create *new* contrast structure, so they drive the
-      incumbent-neighbourhood gate, the local-probe region, and the
-      drift fallback.
-    """
-
-    __slots__ = ("touched_since_answer", "evented_since_answer", "evented_since_full")
-
-    def __init__(self) -> None:
-        self.touched_since_answer: Set[Vertex] = set()
-        self.evented_since_answer: Set[Vertex] = set()
-        self.evented_since_full: Set[Vertex] = set()
-
-    def touch(self, u: Vertex, v: Vertex) -> None:
-        self.touched_since_answer.add(u)
-        self.touched_since_answer.add(v)
-
-    def event(self, u: Vertex, v: Vertex) -> None:
-        self.evented_since_answer.add(u)
-        self.evented_since_answer.add(v)
-        self.evented_since_full.add(u)
-        self.evented_since_full.add(v)
-
-    @property
-    def clean(self) -> bool:
-        return not self.touched_since_answer
-
-    def settle(self) -> None:
-        """The pending changes were absorbed by an answer (hold or cache)."""
-        self.touched_since_answer.clear()
-        self.evented_since_answer.clear()
-
-    def reset(self) -> None:
-        """A full solve re-anchored the incumbent everywhere."""
-        self.touched_since_answer.clear()
-        self.evented_since_answer.clear()
-        self.evented_since_full.clear()
+    answers.sort(key=_rank_key)
+    return answers
 
 
 @dataclass
@@ -237,13 +167,6 @@ class EngineStats:
     diff_edits: int = 0
     full_solves: int = 0
     cache_hits: int = 0
-    local_probes: int = 0
-    incumbent_holds: int = 0
-    rescores: int = 0
-    #: full solves whose rank-0 subset changed when the carried
-    #: incumbents were re-offered (no fresh answer = the empty subset)
-    warm_start_wins: int = 0
-    drift_fallbacks: int = 0
 
 
 #: How many recent per-step profiles an engine retains.
@@ -254,22 +177,19 @@ STEP_PROFILE_CAPACITY = 64
 class StepProfile:
     """One answered step's solve-scheduling record.
 
-    Captured *before* the answer settles or resets the dirty region, so
-    the sizes describe what the scheduler actually saw when it chose
-    between cache reuse, an incumbent hold, and a full solve.  These
-    are the per-step phase stats the observability layer ships — cheap
-    enough (one tiny frozen record per answered step) to collect
-    unconditionally, unlike span tracing, which stays off the per-step
-    hot path.
+    Captured *before* the answer clears the touched set, so ``touched``
+    is what the scheduler saw when it chose between cache reuse and a
+    full solve.  These are the per-step phase stats the observability
+    layer ships — cheap enough (one tiny frozen record per answered
+    step) to collect unconditionally, unlike span tracing, which stays
+    off the per-step hot path.
     """
 
     step: int
-    #: where the answer came from: ``cache`` | ``solve`` | ``incumbent``
+    #: where the answer came from: ``cache`` | ``solve``
     source: str
-    #: dirty-region sizes at decision time
+    #: vertices whose difference weights moved since the last solve
     touched: int
-    evented: int
-    evented_since_full: int
     #: wall seconds the scheduling decision + solve took
     seconds: float
     #: whether the step emitted an alert (score above the floor)
@@ -280,8 +200,6 @@ class StepProfile:
             "step": self.step,
             "source": self.source,
             "touched": self.touched,
-            "evented": self.evented,
-            "evented_since_full": self.evented_since_full,
             "seconds": self.seconds,
             "emitted": self.emitted,
         }
@@ -303,31 +221,14 @@ class StreamingDCSEngine:
         Steps to observe before emitting alerts (default: *window*).
     backend:
         ``"python"`` or ``"sparse"`` — forwarded to the solvers.  The
-        maintained difference graph and incumbent re-scoring are the
-        same on every backend.
-    policy:
-        ``"exact"`` (cache + full solve; parity with batch recompute) or
-        ``"gated"`` (incumbent-neighbourhood gating, local probes,
-        drift fallback).
+        maintained difference graph is the same on every backend.
     min_score:
         Alerts are emitted only for answers scoring strictly above this.
-    drift_ratio:
-        Gated policy: fraction of the universe the cumulative
-        event-dirty region may reach before forcing a full solve.
-    hold_margin:
-        Gated policy: an incumbent is held only while its re-scored
-        contrast stays above ``hold_margin`` times the score of the full
-        solve that produced it; decaying past that triggers a re-solve.
     k:
-        How many incumbent answers to maintain, in an
-        :class:`~repro.core.topk.IncrementalTopK` of the best *k*
-        strictly positive answers; ``k=1`` (default) is its one-entry
-        case.  Dirty steps solve the maintained difference through
-        :func:`solve_difference` (the top-k solvers when ``k>1``), the
-        gated policy re-scores *every* incumbent (rank membership can
-        change without a solve), and :meth:`current_topk` exposes the
-        maintained ranking.  Emitted alerts always carry the rank-0
-        answer.
+        How many answers each dirty step keeps: :func:`solve_difference`
+        runs the top-k solvers when ``k>1``, and :meth:`current_topk`
+        exposes the ranking; ``k=1`` (default) is its one-entry case.
+        Emitted alerts always carry the rank-0 answer.
     topk_strategy:
         Removal strategy between top-k DCSGreedy rounds when ``k>1``
         and the measure is ``average_degree`` (see
@@ -341,10 +242,7 @@ class StreamingDCSEngine:
         measure: Measure = "average_degree",
         warmup: Optional[int] = None,
         backend: str = "python",
-        policy: str = "exact",
         min_score: float = 0.0,
-        drift_ratio: float = 0.5,
-        hold_margin: float = 0.5,
         tol_scale: float = 1e-2,
         prune_eps: float = PRUNE_EPS,
         seed: int = 0,
@@ -358,8 +256,6 @@ class StreamingDCSEngine:
         get_backend(backend).require_capabilities(
             "peel" if measure == "average_degree" else "new_sea"
         )
-        if policy not in ("exact", "gated"):
-            raise ValueError(f"unknown policy {policy!r}")
         if k < 1:
             raise ValueError("k must be positive")
         if topk_strategy not in ("vertices", "edges"):
@@ -371,10 +267,7 @@ class StreamingDCSEngine:
         self.measure = measure
         self.warmup = window if warmup is None else max(1, warmup)
         self.backend = backend
-        self.policy = policy
         self.min_score = min_score
-        self.drift_ratio = drift_ratio
-        self.hold_margin = hold_margin
         self.tol_scale = tol_scale
         self.prune_eps = prune_eps
         self.seed = seed
@@ -382,18 +275,15 @@ class StreamingDCSEngine:
         self.topk_strategy = topk_strategy
 
         self._accumulator = SlidingWindowAccumulator(window)
-        self._dirty = DirtyRegion()
+        #: vertices whose incident difference weights moved since the
+        #: last solve; while any is, the last answer may be stale
+        self._touched: Set[Vertex] = set()
         self.stats = EngineStats()
         self._step_profiles: Deque[StepProfile] = deque(
             maxlen=STEP_PROFILE_CAPACITY
         )
-        #: the k maintained incumbents, the answer of record;
-        #: ``_cached`` mirrors their rank-0 entry (None before the first
-        #: answer) and is refreshed whenever they re-sort
-        self._topk = IncrementalTopK(k, min_score=0.0)
-        self._cached: Optional[SolveOutcome] = None
-        #: rank-0 score of the full solve that installed the incumbents
-        self._anchor_score = 0.0
+        #: the last solve's answers, best first (None before any solve)
+        self._ranked: Optional[List[SolveOutcome]] = None
 
         self._diff = Graph()
         self._diff.add_vertices(self.universe)
@@ -443,27 +333,17 @@ class StreamingDCSEngine:
             "events": stats.events,
             "full_solves": stats.full_solves,
             "cache_hits": stats.cache_hits,
-            "incumbent_holds": stats.incumbent_holds,
-            "local_probes": stats.local_probes,
-            "rescores": stats.rescores,
-            "drift_fallbacks": stats.drift_fallbacks,
-            "warm_start_wins": stats.warm_start_wins,
-            "dirty": {
-                "touched": len(self._dirty.touched_since_answer),
-                "evented": len(self._dirty.evented_since_answer),
-                "evented_since_full": len(self._dirty.evented_since_full),
-            },
+            "dirty": {"touched": len(self._touched)},
             "last_step": last.to_dict() if last is not None else None,
         }
 
     def current_topk(self) -> List[RankedDCS]:
-        """The maintained ranking as of the last answered step.
-
-        Reads the live :class:`~repro.core.topk.IncrementalTopK`, rank
-        moves of the gated policy's re-scoring included; every score is
-        strictly positive (empty before the first answer).
-        """
-        return self._topk.as_ranked()
+        """The ranking as of the last answered step: every score is
+        strictly positive (empty before the first answer)."""
+        return [
+            RankedDCS(rank, set(outcome.subset), outcome.score)
+            for rank, outcome in enumerate(self._ranked or ())
+        ]
 
     # ------------------------------------------------------------------
     # ingestion
@@ -486,7 +366,6 @@ class StreamingDCSEngine:
         self.stats.events += 1
         if self._accumulator.observe(event.key, event.w):
             self.stats.state_changes += 1
-            self._dirty.event(event.u, event.v)
         return alerts
 
     def advance_to(self, step: int) -> List[StreamAlert]:
@@ -519,7 +398,7 @@ class StreamingDCSEngine:
         return log
 
     # ------------------------------------------------------------------
-    # the per-step close: deltas -> dirty region -> solve scheduling
+    # the per-step close: deltas -> touched vertices -> cache or solve
     # ------------------------------------------------------------------
     def _close_step(self) -> Optional[StreamAlert]:
         t = self.step
@@ -531,18 +410,16 @@ class StreamingDCSEngine:
             if value == old:
                 continue
             self._diff.add_edge(u, v, value)
-            self._dirty.touch(u, v)
+            self._touched.add(u)
+            self._touched.add(v)
             self.stats.diff_edits += 1
         self.stats.steps += 1
         if t < self.warmup:
             # Pre-warmup closes still settle the deltas, but nothing is
             # solved or emitted (the expectation is not trusted yet).
             return None
-        # Dirty sizes must be read before _answer(): settling/resetting
-        # the region is part of answering.
-        touched = len(self._dirty.touched_since_answer)
-        evented = len(self._dirty.evented_since_answer)
-        since_full = len(self._dirty.evented_since_full)
+        # Read before _answer(), which clears the set on a solve.
+        touched = len(self._touched)
         answer_start = time.perf_counter()
         outcome, source = self._answer()
         emitted = not (outcome.empty or outcome.score <= self.min_score)
@@ -551,8 +428,6 @@ class StreamingDCSEngine:
                 step=t,
                 source=source,
                 touched=touched,
-                evented=evented,
-                evented_since_full=since_full,
                 seconds=time.perf_counter() - answer_start,
                 emitted=emitted,
             )
@@ -568,148 +443,26 @@ class StreamingDCSEngine:
         )
 
     def _answer(self) -> Tuple[SolveOutcome, str]:
-        if self._cached is not None and self._dirty.clean:
+        """Reuse the last answer on a clean step; otherwise solve the
+        maintained difference and keep its ranking."""
+        if self._ranked is not None and not self._touched:
             self.stats.cache_hits += 1
-            return self._cached, SOURCE_CACHE
-        if self.policy == "exact" or self._cached is None:
-            outcome = self._full_solve(warm=self.policy == "gated")
-            return outcome, SOURCE_SOLVE
-        return self._gated_answer()
-
-    def _incumbents(self) -> List[SolveOutcome]:
-        """The maintained answers as solve outcomes, rank order."""
-        return [
-            SolveOutcome(frozenset(item.subset), item.objective, item.embedding)
-            for item in self._topk.as_ranked()
-        ]
-
-    def _best(self) -> SolveOutcome:
-        """The rank-0 answer, or the empty outcome when none is held."""
-        incumbents = self._incumbents()
-        return incumbents[0] if incumbents else EMPTY_OUTCOME
-
-    # -- exact path ----------------------------------------------------
-    def _full_solve(self, warm: bool) -> SolveOutcome:
-        """Full solve: replace the maintained ranking wholesale.
-
-        With *warm* (the gated policy), the previous incumbents are
-        re-scored on the updated difference and re-offered: DCSGreedy
-        and NewSEA are heuristics and must never regress below a
-        carried answer, which is still a valid subgraph.
-        """
-        outcomes = solve_difference(
-            self._diff,
-            self.measure,
-            backend=self.backend,
-            tol_scale=self.tol_scale,
-            seed=self.seed,
-            k=self.k,
-            strategy=self.topk_strategy,
-        )
-        carried = self._incumbents() if warm else []
-        self._topk.replace((o.subset, o.score, o.x) for o in outcomes)
-        fresh = self._topk.subsets()[:1]
-        for previous in carried:
-            self._topk.offer(previous.subset, self._rescore(previous), previous.x)
-        if self._topk.subsets()[:1] != fresh:
-            self.stats.warm_start_wins += 1
-        best = self._best()
-        self.stats.full_solves += 1
-        self._anchor_score = best.score
-        self._cached = best
-        self._dirty.reset()
-        return best
-
-    # -- gated path ----------------------------------------------------
-    def _gated_answer(self) -> Tuple[SolveOutcome, str]:
-        """The incumbent-gating decision tree.
-
-        Full solves are forced by (in order): the cumulative event
-        region outgrowing ``drift_ratio`` of the universe; no incumbent
-        to hold; new events inside *any* incumbent's closed
-        neighbourhood (its structure changed); the *best* re-scored
-        contrast decaying below ``hold_margin`` of the anchor; or a
-        local probe of the evented region beating the *k-th* re-scored
-        score (a challenger need only displace the weakest incumbent to
-        change the ranking).  Otherwise every incumbent is held, and
-        :meth:`IncrementalTopK.rescore` installs the fresh scores and
-        re-sorts — so the emitted (rank-0) answer and the cached one
-        always track membership changes, even score-order flips with no
-        event anywhere near an incumbent.
-        """
-        if (
-            len(self._dirty.evented_since_full)
-            > self.drift_ratio * len(self.universe)
-        ):
-            self.stats.drift_fallbacks += 1
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        incumbents = self._incumbents()
-        if not incumbents:
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        evented = self._dirty.evented_since_answer
-        region: Set[Vertex] = set()
-        for incumbent in incumbents:
-            region |= self._closed_neighborhood(incumbent.subset)
-        if evented & region:
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        rescored = {o.subset: self._rescore(o) for o in incumbents}
-        if max(rescored.values()) < self.hold_margin * self._anchor_score:
-            self.stats.drift_fallbacks += 1
-            return self._full_solve(warm=True), SOURCE_SOLVE
-        if evented:
-            floor = min(rescored.values()) if len(rescored) >= self.k else 0.0
-            if self._local_probe() > floor:
-                self.stats.drift_fallbacks += 1
-                return self._full_solve(warm=True), SOURCE_SOLVE
-        self.stats.incumbent_holds += 1
-        self._dirty.settle()
-        self._topk.rescore(rescored.get)
-        self._cached = self._best()
-        return self._cached, SOURCE_INCUMBENT
-
-    def _closed_neighborhood(self, subset: Iterable[Vertex]) -> Set[Vertex]:
-        members = set(subset)
-        closed = set(members)
-        for vertex in members:
-            closed.update(self._diff.neighbors(vertex))
-        return closed
-
-    def _local_probe(self) -> float:
-        """The best contrast of the evented region alone (0 if none)."""
-        region = self._closed_neighborhood(self._dirty.evented_since_full)
-        self.stats.local_probes += 1
-        answers = solve_difference(
-            self._diff.subgraph(region & self.universe),
-            self.measure,
-            backend=self.backend,
-            tol_scale=self.tol_scale,
-            seed=self.seed,
-        )
-        return answers[0].score if answers else 0.0
-
-    def _rescore(self, incumbent: SolveOutcome) -> float:
-        """Re-evaluate a held answer's score on the current difference.
-
-        Average degree: the exact ``W(S) / |S|`` of the held subset on
-        the updated graph.  Affinity: ``x^T D x`` with the carried
-        embedding — exact for the carried ``x``, a lower bound on what
-        a re-optimised embedding would score.
-        """
-        self.stats.rescores += 1
-        subset = incumbent.subset
-        if self.measure == "average_degree":
-            return self._diff.total_degree(subset) / len(subset)
-        x = incumbent.x or {}
-        score = 0.0
-        for u in subset:
-            xu = x.get(u, 0.0)
-            if xu == 0.0:
-                continue
-            for v, weight in self._diff.neighbors(u).items():
-                xv = x.get(v, 0.0)
-                if xv != 0.0:
-                    score += weight * xu * xv
-        return score
+            source = SOURCE_CACHE
+        else:
+            self._ranked = solve_difference(
+                self._diff,
+                self.measure,
+                backend=self.backend,
+                tol_scale=self.tol_scale,
+                seed=self.seed,
+                k=self.k,
+                strategy=self.topk_strategy,
+            )
+            self.stats.full_solves += 1
+            self._touched.clear()
+            source = SOURCE_SOLVE
+        best = self._ranked[0] if self._ranked else EMPTY_OUTCOME
+        return best, source
 
 
 def replay_events(

@@ -150,7 +150,7 @@ class TestQuerySerialisation:
             source=GraphSource.from_events("events.txt"),
             qid="s",
             window=7,
-            policy="gated",
+            measure="affinity",
             threshold=1.5,
         )
         assert query_from_dict(query_to_dict(query)) == query

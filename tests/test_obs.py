@@ -333,11 +333,7 @@ class TestStreamProfiles:
         stats = engine.phase_stats()
         assert stats["steps"] == 4
         assert stats["events"] == 16
-        assert set(stats["dirty"]) == {
-            "touched",
-            "evented",
-            "evented_since_full",
-        }
+        assert set(stats["dirty"]) == {"touched"}
         assert stats["last_step"] == engine.last_step_profile.to_dict()
 
 

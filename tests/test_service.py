@@ -342,6 +342,57 @@ class TestSolveRoute:
         assert held.status == 200
         assert app.metrics.queries_timeout == 1
 
+    def test_seconds_count_from_arrival(self, app, monkeypatch):
+        """A hit and a miss queued behind a running solve both report
+        their wait in ``seconds``: the clock starts at arrival."""
+        import repro.service.app as app_module
+
+        hold = 0.3
+        status, _ = app.request("POST", "/v1/solve", {"graph": "uploaded"})
+        assert status == 200  # fills the cache for the hit below
+        real_solve = app_module.solve
+        entered = threading.Event()
+        release = threading.Event()
+
+        def solve_holding_the_first(request, prepared):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=5.0)
+            return real_solve(request, prepared)
+
+        monkeypatch.setattr(app_module, "solve", solve_holding_the_first)
+
+        async def main():
+            held = asyncio.ensure_future(
+                app.dispatch(
+                    "POST", "/v1/solve", {"graph": "uploaded", "k": 2}
+                )
+            )
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                queued = [
+                    asyncio.ensure_future(
+                        app.dispatch("POST", "/v1/solve", body)
+                    )
+                    for body in (
+                        {"graph": "uploaded"},
+                        {"graph": "uploaded", "k": 3},
+                    )
+                ]
+                assert await asyncio.to_thread(
+                    _wait_until, lambda: app.pending == 2
+                )
+                await asyncio.sleep(hold)
+            finally:
+                release.set()
+            return await asyncio.gather(held, *queued)
+
+        held, hit, miss = asyncio.run(main())
+        assert held.status == hit.status == miss.status == 200
+        assert hit.payload["cached"] and not miss.payload["cached"]
+        assert hit.payload["seconds"] >= hold
+        assert miss.payload["seconds"] >= hold
+
 
 def _wait_until(predicate, timeout: float = 5.0) -> bool:
     """Poll *predicate* until it holds; False if *timeout* passes."""

@@ -178,162 +178,32 @@ class TestCoverage:
 
 
 # ----------------------------------------------------------------------
-# incremental maintenance (IncrementalTopK + the streaming engine's k)
+# the streaming engine's k answers
 # ----------------------------------------------------------------------
-import random  # noqa: E402
-
 from repro.core.monitor import mean_graph  # noqa: E402
-from repro.core.topk import IncrementalTopK  # noqa: E402
 from repro.core.difference import difference_graph  # noqa: E402
 from repro.stream import (  # noqa: E402
-    SOURCE_INCUMBENT,
+    SOURCE_SOLVE,
     StreamingDCSEngine,
     solve_difference,
 )
 from repro.stream.events import EdgeEvent  # noqa: E402
 
 
-def _best_k_reference(offers, k, min_score=0.0):
-    """The spec: best-k of all offers, deduped by subset at max score."""
-    best = {}
-    for subset, score in offers:
-        key = frozenset(subset)
-        if not key or score <= min_score:
-            continue
-        if key not in best or score > best[key]:
-            best[key] = score
-    ranked = sorted(
-        best.items(),
-        key=lambda item: (
-            -item[1],
-            len(item[0]),
-            repr(sorted(item[0], key=repr)),
-        ),
-    )
-    return ranked[:k]
-
-
-class TestIncrementalTopK:
-    def test_rejects_non_positive_k(self):
-        with pytest.raises(ValueError):
-            IncrementalTopK(0)
-
-    def test_empty_reads(self):
-        topk = IncrementalTopK(3)
-        assert len(topk) == 0
-        assert topk.best is None
-        assert topk.as_ranked() == []
-        assert topk.worst_score == 0.0
-
-    def test_offer_below_min_score_never_enters(self):
-        topk = IncrementalTopK(3, min_score=1.0)
-        assert not topk.offer({"a"}, 1.0)
-        assert not topk.offer({"a"}, 0.5)
-        assert len(topk) == 0
-
-    def test_empty_subset_never_enters(self):
-        topk = IncrementalTopK(3)
-        assert not topk.offer(set(), 5.0)
-
-    def test_duplicate_subset_keeps_best_score(self):
-        topk = IncrementalTopK(3)
-        assert topk.offer({"a", "b"}, 2.0)
-        assert not topk.offer({"a", "b"}, 1.0)  # worse re-offer: no-op
-        assert topk.scores() == [2.0]
-        assert topk.offer({"a", "b"}, 3.0)  # better: upgrades in place
-        assert topk.scores() == [3.0]
-        assert len(topk) == 1
-
-    def test_truncates_to_k_and_reports_worst(self):
-        topk = IncrementalTopK(2)
-        topk.offer({"a"}, 1.0)
-        topk.offer({"b"}, 2.0)
-        topk.offer({"c"}, 3.0)
-        assert topk.subsets() == [frozenset({"c"}), frozenset({"b"})]
-        assert topk.worst_score == 2.0
-        assert not topk.offer({"d"}, 1.5)  # below the k-th: rejected
-
-    def test_contains_by_membership(self):
-        topk = IncrementalTopK(2)
-        topk.offer({"a", "b"}, 1.0)
-        assert {"b", "a"} in topk
-        assert {"a"} not in topk
-
-    def test_deterministic_tie_break(self):
-        first = IncrementalTopK(4)
-        second = IncrementalTopK(4)
-        offers = [({"b"}, 1.0), ({"a"}, 1.0), ({"a", "c"}, 1.0)]
-        for subset, score in offers:
-            first.offer(subset, score)
-        for subset, score in reversed(offers):
-            second.offer(subset, score)
-        assert first.subsets() == second.subsets()
-        # smaller subsets first, then lexicographic
-        assert first.subsets()[0] == frozenset({"a"})
-
-    def test_replace_installs_fresh_answers(self):
-        topk = IncrementalTopK(2)
-        topk.offer({"old"}, 9.0)
-        topk.replace([({"a"}, 1.0, None), ({"b"}, 2.0, None)])
-        assert topk.subsets() == [frozenset({"b"}), frozenset({"a"})]
-
-    def test_rescore_reorders_without_offers(self):
-        topk = IncrementalTopK(3)
-        topk.offer({"a"}, 3.0)
-        topk.offer({"b"}, 2.0)
-        changed = topk.rescore(
-            lambda s: 1.0 if s == frozenset({"a"}) else 5.0
-        )
-        assert changed
-        assert topk.subsets() == [frozenset({"b"}), frozenset({"a"})]
-
-    def test_rescore_drops_none_and_below_floor(self):
-        topk = IncrementalTopK(3, min_score=0.5)
-        topk.offer({"a"}, 3.0)
-        topk.offer({"b"}, 2.0)
-        topk.offer({"c"}, 1.0)
-        changed = topk.rescore(
-            lambda s: None if s == frozenset({"a"}) else (
-                0.5 if s == frozenset({"c"}) else 2.0
-            )
-        )
-        assert changed
-        assert topk.subsets() == [frozenset({"b"})]
-
-    def test_rescore_unchanged_returns_false(self):
-        topk = IncrementalTopK(2)
-        topk.offer({"a"}, 3.0)
-        changed = topk.rescore(lambda s: 3.0)
-        assert not changed
-
-    def test_embeddings_travel_with_candidates(self):
-        topk = IncrementalTopK(2)
-        topk.offer({"a"}, 1.0, embedding={"a": 1.0})
-        ranked = topk.as_ranked()
-        assert ranked[0].embedding == {"a": 1.0}
-        # defensive copies both ways
-        ranked[0].embedding["a"] = 9.0
-        assert topk.as_ranked()[0].embedding == {"a": 1.0}
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_property_equals_batch_best_k(self, seed):
-        """The invariant: after any offer sequence, the maintained set
-        equals the best-k of all offers (dedup by subset, max score)."""
-        rng = random.Random(seed)
-        k = rng.randint(1, 4)
-        topk = IncrementalTopK(k)
-        offers = []
-        vocabulary = "abcdef"
-        for _ in range(200):
-            size = rng.randint(1, 3)
-            subset = frozenset(rng.sample(vocabulary, size))
-            score = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, rng.random()])
-            offers.append((subset, score))
-            topk.offer(subset, score)
-            expected = _best_k_reference(offers, k)
-            assert [
-                (c, s) for c, s in zip(topk.subsets(), topk.scores())
-            ] == expected
+class TestSolveDifferenceRanking:
+    @pytest.mark.parametrize("order", ["ab-first", "cd-first"])
+    def test_equal_scores_rank_by_size_then_repr(self, order):
+        """Two disjoint equal-weight edges tie at k=2: the ranking
+        follows the subset (size, then repr), not insertion order."""
+        edges = [("a", "b", 2.0), ("c", "d", 2.0)]
+        if order == "cd-first":
+            edges.reverse()
+        diff = Graph()
+        for u, v, w in edges:
+            diff.add_edge(u, v, w)
+        answers = solve_difference(diff, "average_degree", k=2)
+        assert [sorted(o.subset) for o in answers] == [["a", "b"], ["c", "d"]]
+        assert answers[0].score == answers[1].score
 
 
 class _WindowOracle:
@@ -436,55 +306,20 @@ class TestEngineTopK:
         assert scores == sorted(scores, reverse=True)
         assert len(ranking) <= 2
 
-    def test_gated_topk_alert_keys_match_exact(self):
-        from repro.stream import alert_keys
-
-        stream = self._stream(2)
-        runs = {}
-        for policy in ("exact", "gated"):
-            engine = StreamingDCSEngine(
-                stream.universe,
-                window=5,
-                policy=policy,
-                min_score=1e-6,
-                k=3,
-            )
-            runs[policy] = engine.run(
-                stream.log.events, n_steps=stream.n_steps
-            )
-        assert alert_keys(runs["gated"]) == alert_keys(runs["exact"])
-
-    def test_gated_topk_actually_holds(self):
-        stream = self._stream(3, n_steps=20)
-        engine = StreamingDCSEngine(
-            stream.universe, window=5, policy="gated", min_score=1e-6, k=3
-        )
-        engine.run(stream.log.events, n_steps=stream.n_steps)
-        assert engine.stats.incumbent_holds > 0
-
     def test_clean_step_cache_tracks_rank_membership(self):
-        """Regression (satellite): a gated hold re-scores the maintained
-        ranking, and the cached answer the next clean step would serve
-        must mirror the re-sorted rank-0 — not the pre-hold incumbent.
+        """Rank membership follows the decaying difference, and each
+        step serves the rank-0 answer of the ranking it leaves.
 
         Decay drives the flip: after a spike goes silent, the window
-        mean keeps rising toward the spike, so the incumbent's contrast
-        shrinks step by step on *held* steps (dirty from decay edits,
-        no new events, no full solve).  With window=3 the (a,b) spike
-        rescores to exactly zero two silent steps later and is dropped
-        by ``IncrementalTopK.rescore``; (c,d) — spiked one step later —
-        is still positive and must take over rank 0 and the cache.
+        mean keeps rising toward the spike, so its contrast shrinks
+        step by step (dirty from decay edits, no new events).  With
+        window=3 the (a,b) spike decays to exactly zero two silent
+        steps later and leaves the ranking; (c,d) — spiked one step
+        later — is still positive and takes over rank 0.
         """
         universe = {"a", "b", "c", "d", "e", "f"}
         engine = StreamingDCSEngine(
-            universe,
-            window=3,
-            warmup=1,
-            policy="gated",
-            min_score=1e-6,
-            drift_ratio=1.0,  # never fall back on drift
-            hold_margin=0.0,  # never fall back on decay
-            k=2,
+            universe, window=3, warmup=1, min_score=1e-6, k=2
         )
         # Quiet baseline, then staggered spikes.
         engine.ingest(EdgeEvent(0, "a", "b", 1.0))
@@ -495,39 +330,24 @@ class TestEngineTopK:
         assert [sorted(r.subset) for r in engine.current_topk()] == [
             ["a", "b"], ["c", "d"],
         ]
-        solves_before = engine.stats.full_solves
-        holds_before = engine.stats.incumbent_holds
-        # Silence.  Step 3 holds (both incumbents shrink, order keeps);
-        # step 4 holds again and (a,b) rescores to zero — membership
-        # changes on a hold, with no full solve anywhere.
+        # Silence.  Step 3 still ranks (a,b) first; at step 4 (a,b)
+        # has decayed to zero and (c,d) is all that is left.
         alerts = engine.advance_to(5)
-        assert engine.stats.full_solves == solves_before
-        assert engine.stats.incumbent_holds >= holds_before + 2
-        assert alerts, "held steps above threshold must still alert"
-        final = alerts[-1]
-        assert final.source == SOURCE_INCUMBENT
-        assert sorted(final.subset) == ["c", "d"]
+        assert [(a.step, sorted(a.subset), a.source) for a in alerts] == [
+            (3, ["a", "b"], SOURCE_SOLVE),
+            (4, ["c", "d"], SOURCE_SOLVE),
+        ]
         ranking = engine.current_topk()
         assert [sorted(r.subset) for r in ranking] == [["c", "d"]]
-        # The satellite's fix pin: the clean-step cache mirror must have
-        # followed the re-sort — a later clean step would serve (c,d).
-        assert engine._cached is not None
-        assert engine._cached.subset == frozenset({"c", "d"})
+        assert ranking[0].objective == alerts[-1].score
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_incumbent_decayed_to_zero_leaves_the_ranking(self, k):
-        """A held incumbent whose contrast decays to zero is dropped at
+        """An answer whose contrast decays to zero is dropped at
         every k: the maintained ranking keeps strictly positive scores
         only, and k=1 is the one-entry case of the same structure."""
         engine = StreamingDCSEngine(
-            {"a", "b", "c"},
-            window=3,
-            warmup=1,
-            policy="gated",
-            min_score=1e-6,
-            drift_ratio=1.0,  # never fall back on drift
-            hold_margin=0.0,  # never fall back on decay
-            k=k,
+            {"a", "b", "c"}, window=3, warmup=1, min_score=1e-6, k=k
         )
         engine.ingest(EdgeEvent(0, "a", "b", 1.0))
         engine.ingest(EdgeEvent(1, "a", "b", 13.0))
