@@ -5,7 +5,7 @@ PYTHON      ?= python
 PYTHONPATH  := src
 export PYTHONPATH
 
-.PHONY: test coverage lint lint-invariants bench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke examples-smoke bench docs-check check
+.PHONY: test coverage lint lint-invariants bench-smoke perfbench-smoke bench-stream bench-batch bench-service bench-sessions bench-scale serve-smoke session-smoke obs-smoke scale-smoke examples-smoke bench docs-check check
 
 ## Full test suite (tier-1 gate; fast).
 test:
@@ -63,6 +63,14 @@ lint: lint-invariants
 ## agree on subset and density.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_scalability.py benchmarks/bench_streaming.py benchmarks/bench_batch.py benchmarks/bench_service.py benchmarks/bench_sessions.py benchmarks/bench_service_scale.py benchmarks/bench_ablation_peeling_backend.py -q
+
+## The repository benchmark's own tests, then one traced solve-large
+## run.  The traced run wraps `newsea.new_sea`, `dcsad.greedy_peel`
+## and `PreparedGraph` members, so a change to those call shapes breaks
+## it and nothing else; the run must exit 0 (about 20 s on 2 vCPUs).
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	$(PYTHON) perfbench/run.py --workload solve-large --seed 1 --seconds 18 --trace 1
 
 ## Streaming benchmark only — incremental engine vs naive recompute,
 ## alert parity and the >= 3x speedup gate.

@@ -89,14 +89,25 @@ def dcs_greedy(
     :class:`~repro.engine.prepared.PreparedGraph` context: the ``GD+``
     build (and, on CSR-capable backends, both frozen adjacencies) are
     reused instead of rebuilt — a paired DCSAD+DCSGA workload on one
-    difference graph prepares exactly once.
+    difference graph prepares exactly once.  With shared adjacencies the
+    heaviest-edge candidate comes from one ``argmax`` over the frozen
+    ``GD`` instead of a dict scan; both pick the same edge on ties.
     """
     if gd.num_vertices == 0:
         raise ValueError("difference graph has no vertices")
     if prepared is not None:
         prepared.check_owns(gd)
 
-    heaviest = gd.max_weight_edge()
+    shares_csr = (
+        prepared is not None
+        and resolve_backend(backend).supports_shared_adjacency
+    )
+    # csr_of() follows whichever graph the caller passed: dcs_greedy is
+    # legitimately invoked on prepared.gd (the usual case) or on
+    # prepared.gd_plus itself, and each peel must pair with its own
+    # frozen adjacency.
+    adjacency = prepared.csr_of(gd) if shares_csr else None
+    heaviest = (gd if adjacency is None else adjacency).max_weight_edge()
     if heaviest is None or heaviest[2] <= 0:
         # Case 1 of Section IV-B: no positive edge — any single vertex is
         # optimal with density contrast 0.
@@ -114,19 +125,7 @@ def dcs_greedy(
     u, v, _ = heaviest
     candidates: Dict[str, Set[Vertex]] = {"max_edge": {u, v}}
 
-    shares_csr = (
-        prepared is not None
-        and resolve_backend(backend).supports_shared_adjacency
-    )
-    # csr_of() follows whichever graph the caller passed: dcs_greedy is
-    # legitimately invoked on prepared.gd (the usual case) or on
-    # prepared.gd_plus itself, and each peel must pair with its own
-    # frozen adjacency.
-    peel_gd = greedy_peel(
-        gd,
-        backend=backend,
-        adjacency=prepared.csr_of(gd) if shares_csr else None,
-    )
+    peel_gd = greedy_peel(gd, backend=backend, adjacency=adjacency)
     candidates["greedy_gd"] = peel_gd.subset
 
     # When the caller passed GD+ itself, prepared.gd_plus IS gd — the

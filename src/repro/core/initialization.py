@@ -84,7 +84,9 @@ def smart_initialization_plan(
     arrays (``mu`` values are bitwise identical to the python backend:
     only max/division arithmetic is involved, no reordered sums).  Pass a
     prebuilt *adjacency* of *gd_plus* to skip the CSR construction
-    (CSR-capable backends only).
+    (CSR-capable backends only); the plan is memoised on it, so later
+    calls with the same adjacency return the same, read-only plan.  The
+    ``python`` backend builds a fresh plan on every call.
     """
     solver_backend = resolve_backend(backend)
     solver_backend.check_adjacency(adjacency)
@@ -114,19 +116,28 @@ def _smart_initialization_plan_sparse(
     ``w_u`` is two segment-max reductions over the CSR layout (incident
     max per row, then max of that over each closed neighbourhood); the
     core numbers come from the O(n + m) bucket algorithm of
-    :mod:`repro.graph.cores` on the dict graph.  That pass is the larger
-    part of the plan: on a 20k-vertex, 18.6k-edge ``GD+`` it took
-    48-91 ms of a 78-127 ms plan (2 vCPUs, CPython 3.11).  A CSR core
-    pass would save part of it but duplicate the bucket scan, so the
-    plan keeps the one implementation.  The trial order is one ``lexsort`` on
-    ``(-mu, -degree, index)`` — the index *is* the repr order because
-    :meth:`CSRAdjacency.from_graph` sorts vertices by repr.
+    :mod:`repro.graph.cores` on the dict graph.  The trial order is one
+    ``lexsort`` on ``(-mu, -degree, index)`` — the index *is* the repr
+    order because :meth:`CSRAdjacency.from_graph` sorts vertices by repr.
+
+    The plan depends on ``GD+`` alone, so it is memoised on the
+    adjacency: a shared one (``PreparedGraph.csr_plus()``) builds it
+    once, and every later solve on that graph — whatever its
+    ``tol_scale``, sparse or native — gets the same object back.  It is
+    shared state: callers read it and never mutate it.  The core-number
+    pass is the larger part of a build: on a 20k-vertex, 18.6k-edge
+    ``GD+`` it took 48-91 ms of a 78-127 ms plan (2 vCPUs, CPython
+    3.11), paid once per frozen graph.  A CSR core pass would save part
+    of that cold cost but duplicate the bucket scan, so the plan keeps
+    the one implementation.
     """
     import numpy as np
 
     from repro.graph.sparse import CSRAdjacency
 
     adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
+    if adj._init_plan is not None:
+        return adj._init_plan
     n = adj.n
     if n == 0:
         return InitializationPlan(mu={}, order=[])
@@ -153,7 +164,8 @@ def _smart_initialization_plan_sparse(
 
     order_idx = np.lexsort((np.arange(n), -adj.degrees(), -mu))
     vertices = adj.vertices
-    return InitializationPlan(
+    adj._init_plan = InitializationPlan(
         mu={vertices[i]: float(mu[i]) for i in range(n)},
         order=[vertices[int(i)] for i in order_idx],
     )
+    return adj._init_plan

@@ -22,6 +22,7 @@ from repro.core.initialization import InitializationPlan, smart_initialization_p
 from repro.core.refinement import refine
 from repro.core.seacd import seacd
 from repro.engine.registry import BackendLike, resolve_backend
+from repro.exceptions import InputMismatchError
 from repro.graph.cliques import is_clique, remove_subsumed_cliques
 from repro.graph.graph import Graph, Vertex
 
@@ -59,6 +60,22 @@ class AllInitsResult:
     solutions: List[Tuple[Set[Vertex], Dict[Vertex, float], float]]
     initializations: int
     expansion_errors: int
+
+
+def _require_positive(gd_plus: Graph) -> None:
+    """Reject signed input to a dict-graph DCSGA solve.
+
+    The CSR backends make the same check on the frozen adjacency
+    (:meth:`~repro.graph.sparse.CSRAdjacency.for_graph` with
+    ``positive=True``) and raise the same error.
+    """
+    for _, _, weight in gd_plus.edges():
+        if weight <= 0:
+            raise InputMismatchError(
+                "graph has nonpositive weights, but this solver expects GD+ "
+                "(positive weights only); call positive_part() on the "
+                "signed difference graph first"
+            )
 
 
 def _default_solver(tol_scale: float, max_expansions: int) -> VertexSolver:
@@ -100,16 +117,15 @@ def new_sea(
     :class:`~repro.graph.sparse.CSRAdjacency` of ``gd_plus`` so callers
     running many queries on one graph — the batch layer, through
     :class:`~repro.engine.prepared.PreparedGraph` — skip even that
-    single CSR build.
+    single CSR build and, since the plan is memoised on the adjacency,
+    every initialisation plan after the first.
+
+    Signed input raises :class:`~repro.exceptions.InputMismatchError`
+    (a ``ValueError``) on every backend: the python backend scans the
+    dict graph, the CSR backends check the frozen adjacency's weights.
     """
     if gd_plus.num_vertices == 0:
         raise ValueError("graph has no vertices")
-    for _, _, weight in gd_plus.edges():
-        if weight <= 0:
-            raise ValueError(
-                "new_sea expects GD+ (positive weights only); "
-                "call positive_part() first"
-            )
     solver_backend = resolve_backend(backend)
     solver_backend.check_adjacency(adjacency)
     return solver_backend.new_sea(
@@ -128,6 +144,7 @@ def _new_sea_python(
     plan: Optional[InitializationPlan] = None,
 ) -> DCSGAResult:
     """The reference implementation behind the ``python`` backend."""
+    _require_positive(gd_plus)
     if plan is None:
         plan = smart_initialization_plan(gd_plus)
     solver = _default_solver(tol_scale, max_expansions)
@@ -182,6 +199,10 @@ def solve_all_initializations(
     With no explicit *solver* the per-vertex SEACD+Refine closure comes
     from the registry backend (``"sparse"`` runs the vectorised CSR
     kernels, building the CSR adjacency once for all initialisations).
+
+    Without a custom *solver*, signed input raises
+    :class:`~repro.exceptions.InputMismatchError` on every backend, as
+    in :func:`new_sea`.
 
     The returned ``solutions`` follow the paper's Table V / Fig. 3
     post-processing: duplicates removed and (optionally) supports that

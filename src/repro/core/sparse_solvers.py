@@ -455,10 +455,12 @@ def new_sea_csr(
     """Algorithm 5 on the CSR backend; mirrors :func:`repro.core.newsea.new_sea`.
 
     The caller (:func:`repro.core.newsea.new_sea` with
-    ``backend="sparse"``) has already validated the input.  Builds the
-    CSR adjacency once, computes the ``mu_u`` bounds for all vertices in
-    one vectorised pass, then walks the descending-bound order with the
-    same early-stop rule as the reference backend.
+    ``backend="sparse"``) has already rejected an empty graph; signed
+    input fails the freeze's positivity check.  Builds the CSR adjacency
+    once (or takes the caller's), takes the ``mu_u`` bounds from the
+    plan memoised on it (one vectorised pass on first use), then walks
+    the descending-bound order with the same early-stop rule as the
+    reference backend.  A caller's *plan* is read, never mutated.
     """
     from repro.core.newsea import DCSGAResult
     from repro.core.initialization import smart_initialization_plan

@@ -115,8 +115,9 @@ class PythonBackend(SolverBackend):
         max_expansions: int = 10_000,
         adjacency: Optional["CSRAdjacency"] = None,
     ) -> "VertexSolver":
-        from repro.core.newsea import _default_solver
+        from repro.core.newsea import _default_solver, _require_positive
 
+        _require_positive(gd_plus)
         return _default_solver(tol_scale, max_expansions)
 
     def initialization_plan(

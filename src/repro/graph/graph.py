@@ -270,12 +270,24 @@ class Graph:
         return total
 
     def max_weight_edge(self) -> Optional[Edge]:
-        """The edge of maximum weight, or None for an edgeless graph."""
-        best: Optional[Edge] = None
-        for edge in self.edges():
-            if best is None or edge[2] > best[2]:
-                best = edge
-        return best
+        """The edge of maximum weight, or None for an edgeless graph.
+
+        Returned as ``(u, v, weight)`` with ``repr(u) <= repr(v)``.  Among
+        edges tied at the maximum weight, the one whose repr-sorted
+        endpoint pair is smallest wins: the first maximum of a
+        :class:`~repro.graph.sparse.CSRAdjacency`'s data in row-major
+        order, so the dict and CSR backends pick the same edge.  Repr
+        keys are built only for endpoints of top-weight edges.
+        """
+        incident = {u: max(nbrs.values()) for u, nbrs in self._adj.items() if nbrs}
+        if not incident:
+            return None
+        top = max(incident.values())
+        # Every endpoint of a top-weight edge has top as its incident max,
+        # so the smallest such repr starts the winning pair.
+        u = min((x for x, w in incident.items() if w == top), key=repr)
+        v = min((x for x, w in self._adj[u].items() if w == top), key=repr)
+        return u, v, top
 
     def min_weight_edge(self) -> Optional[Edge]:
         """The edge of minimum weight, or None for an edgeless graph."""

@@ -27,7 +27,7 @@ succeeds, and only *using* the sparse backend raises
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 try:  # pragma: no cover - exercised implicitly on import
     import numpy as np
@@ -39,7 +39,10 @@ from repro.exceptions import (
     InputMismatchError,
     VertexNotFound,
 )
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Edge, Graph, Vertex
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.core.initialization import InitializationPlan
 
 try:  # pragma: no cover - exercised implicitly on import
     from scipy import sparse as _scipy_sparse
@@ -109,6 +112,7 @@ class CSRAdjacency:
         "data",
         "shm_source",
         "_local_map",
+        "_init_plan",
     )
 
     def __init__(
@@ -127,6 +131,10 @@ class CSRAdjacency:
         self.shm_source: Optional[Tuple[str, str]] = None
         #: reusable global->local scatter buffer for :meth:`dense_block`
         self._local_map: Optional[np.ndarray] = None
+        #: NewSEA's initialisation plan of this (``GD+``) adjacency, built
+        #: on first request by
+        #: :func:`repro.core.initialization.smart_initialization_plan`
+        self._init_plan: Optional["InitializationPlan"] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -177,25 +185,33 @@ class CSRAdjacency:
         The shared-CSR plumbing makes it easy to pass the adjacency of
         the *wrong* graph — most treacherously the signed ``GD`` instead
         of its positive part, which has the same vertex set.  Cheap
-        checks (vertex count, edge count and, with *positive*, strict
-        positivity) catch the realistic mix-ups without a full content
-        comparison; a mismatch raises :class:`InputMismatchError`.
+        checks (vertex count, edge count) catch the realistic mix-ups
+        without a full content comparison; a mismatch raises
+        :class:`InputMismatchError`.
+
+        With *positive* (the kernels that expect ``GD+``), the returned
+        adjacency — shared or freshly frozen — must also be strictly
+        positive: one vectorised pass over ``data``, so CSR solvers need
+        no dict scan of the graph's edges.  It raises the same error type.
         """
         if shared is None:
-            return cls.from_graph(graph)
-        if (shared.n, shared.num_edges) != (graph.num_vertices, graph.num_edges):
+            adjacency = cls.from_graph(graph)
+        elif (shared.n, shared.num_edges) != (graph.num_vertices, graph.num_edges):
             raise InputMismatchError(
                 f"shared adjacency has {shared.n} vertices and "
                 f"{shared.num_edges} edges but the graph has "
                 f"{graph.num_vertices} and {graph.num_edges}; it was built "
                 "from another graph"
             )
-        if positive and shared.data.size and not (shared.data > 0).all():
+        else:
+            adjacency = shared
+        if positive and adjacency.data.size and not (adjacency.data > 0).all():
             raise InputMismatchError(
-                "shared adjacency contains nonpositive weights; it was built "
-                "from the signed difference graph, not its positive part"
+                "adjacency contains nonpositive weights, but this solver "
+                "expects GD+ (positive weights only); call positive_part() "
+                "on the signed difference graph first"
             )
-        return shared
+        return adjacency
 
     # ------------------------------------------------------------------
     # shape
@@ -218,8 +234,9 @@ class CSRAdjacency:
 
         The batch layer ships frozen adjacencies to worker processes;
         reducing to the constructor arguments keeps the payload minimal
-        (the ``index`` map and the ``dense_block`` scratch buffer are
-        derived state) and guarantees the raw ``indptr``/``indices``/
+        (the ``index`` map, the ``dense_block`` scratch buffer and the
+        memoised initialisation plan are derived state the receiver
+        rebuilds on demand) and guarantees the raw ``indptr``/``indices``/
         ``data`` views are re-bound to the unpickled matrix.
 
         Shared-memory-backed adjacencies pickle as an *attach stub*
@@ -261,6 +278,23 @@ class CSRAdjacency:
     def unweighted_degrees(self) -> np.ndarray:
         """Number of incident edges per vertex."""
         return np.diff(self.indptr)
+
+    def max_weight_edge(self) -> Optional[Edge]:
+        """:meth:`Graph.max_weight_edge` in one ``argmax`` over ``data``.
+
+        ``argmax`` returns the first maximum in row-major order; rows and
+        columns both follow the repr order, so that is the tied edge with
+        the smallest repr-sorted endpoint pair — the dict scan's answer.
+        """
+        if not self.data.size:
+            return None
+        position = int(np.argmax(self.data))
+        row = int(np.searchsorted(self.indptr, position, side="right")) - 1
+        return (
+            self.vertices[row],
+            self.vertices[int(self.indices[position])],
+            float(self.data[position]),
+        )
 
     def submatrix(self, rows: np.ndarray) -> "_scipy_sparse.csr_matrix":
         """The induced CSR block ``D[rows][:, rows]``."""

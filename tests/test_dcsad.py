@@ -69,6 +69,31 @@ class TestKnownOptima:
         assert result.density >= 50.0 - 1e-9
 
 
+def _tie_backends():
+    from repro.core.native_kernels import numba_available
+
+    return ["python", "sparse"] + (["native"] if numba_available() else [])
+
+
+class TestTiedHeaviestEdge:
+    """Two edges share the top weight and every candidate ties at
+    density 2, so ``max_edge`` wins and its tie-break is the answer."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["dict", "prepared"])
+    @pytest.mark.parametrize("backend", _tie_backends())
+    @pytest.mark.parametrize("cd_first", [True, False])
+    def test_backends_agree_on_tied_max_edge(self, cd_first, backend, shared):
+        from repro.engine.prepared import PreparedGraph
+
+        edges = [("c", "d", 2.0), ("a", "b", 2.0), ("b", "e", -1.0)]
+        gd = Graph.from_edges(edges if cd_first else edges[::-1])
+        prepared = PreparedGraph(gd) if shared else None
+        result = dcs_greedy(gd, backend=backend, prepared=prepared)
+        assert result.winner == "max_edge"
+        assert result.subset == {"a", "b"}
+        assert result.density == 2.0
+
+
 class TestGuarantees:
     @pytest.mark.parametrize("seed", range(12))
     def test_data_dependent_ratio_bounds_optimum(self, seed):

@@ -138,6 +138,18 @@ class TestQueries:
         assert graph.min_weight_edge()[2] == -3.0
         assert Graph().max_weight_edge() is None
 
+    @pytest.mark.parametrize("cd_first", [True, False])
+    def test_max_weight_edge_tie_goes_to_smallest_repr_pair(self, cd_first):
+        """Ties resolve on content, not insertion order: the repr-sorted
+        endpoint pair that sorts first wins (the CSR argmax's pick)."""
+        edges = [("c", "d", 2.0), ("a", "b", 2.0), ("b", "e", -1.0)]
+        graph = Graph.from_edges(edges if cd_first else edges[::-1])
+        assert graph.max_weight_edge() == ("a", "b", 2.0)
+        # Endpoints come back repr-sorted, whichever was inserted first.
+        assert Graph.from_edges([("z", "y", 1.0)]).max_weight_edge() == (
+            "y", "z", 1.0,
+        )
+
 
 class TestDerivedGraphs:
     def test_subgraph(self):

@@ -95,3 +95,58 @@ class TestPlan:
         """Star: tau = 1 everywhere, w = 1 -> mu = 0.5 (an edge's affinity)."""
         plan = smart_initialization_plan(star_graph(5))
         assert all(mu == pytest.approx(0.5) for mu in plan.mu.values())
+
+
+class TestPlanMemo:
+    """The sparse plan depends on GD+ alone: it is built once per frozen
+    adjacency and handed back to every later solve on it."""
+
+    @staticmethod
+    def _count_core_passes(monkeypatch):
+        import repro.core.initialization as initialization
+
+        calls = []
+        original = initialization.core_numbers
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(initialization, "core_numbers", counting)
+        return calls
+
+    def test_prepared_graph_builds_its_plan_once(self, monkeypatch):
+        from repro.engine.envelope import SolveRequest, solve
+        from repro.engine.prepared import PreparedGraph
+
+        calls = self._count_core_passes(monkeypatch)
+        prepared = PreparedGraph(random_signed_graph(30, 0.3, seed=2))
+        solve(SolveRequest("affinity", backend="sparse"), prepared)
+        solve(SolveRequest("affinity", backend="sparse", tol_scale=1e-3), prepared)
+        assert len(calls) == 1
+
+    def test_same_adjacency_returns_the_same_plan(self):
+        import pickle
+
+        from repro.graph.sparse import CSRAdjacency
+
+        gp = random_signed_graph(30, 0.3, seed=5).positive_part()
+        adj = CSRAdjacency.from_graph(gp)
+        plan = smart_initialization_plan(gp, backend="sparse", adjacency=adj)
+        assert smart_initialization_plan(
+            gp, backend="sparse", adjacency=adj
+        ) is plan
+        # Pickling drops derived state: the copy builds its own, equal plan.
+        copy = pickle.loads(pickle.dumps(adj))
+        rebuilt = smart_initialization_plan(gp, backend="sparse", adjacency=copy)
+        assert rebuilt is not plan
+        assert rebuilt == plan
+
+    def test_python_backend_builds_a_plan_per_call(self, monkeypatch):
+        calls = self._count_core_passes(monkeypatch)
+        gp = random_signed_graph(30, 0.3, seed=5).positive_part()
+        first = smart_initialization_plan(gp)
+        second = smart_initialization_plan(gp)
+        assert len(calls) == 2
+        assert first is not second
+        assert first == second

@@ -6,9 +6,12 @@ import pytest
 
 from repro.core.exact import exact_dcsga
 from repro.core.newsea import new_sea, solve_all_initializations
+from repro.core.topk import top_k_dcsga
+from repro.exceptions import InputMismatchError
 from repro.graph.cliques import is_clique, is_positive_clique
 from repro.graph.generators import complete_graph, random_signed_graph
 from repro.graph.graph import Graph
+from repro.graph.sparse import CSRAdjacency
 
 
 class TestValidation:
@@ -16,9 +19,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             new_sea(Graph())
 
-    def test_signed_input_rejected(self, signed_graph):
-        with pytest.raises(ValueError, match="positive"):
-            new_sea(signed_graph)
+    @pytest.mark.parametrize(
+        "backend,shared",
+        [("python", False), ("sparse", False), ("sparse", True)],
+        ids=["python", "sparse", "sparse-shared"],
+    )
+    def test_signed_input_rejected(self, signed_graph, backend, shared):
+        # python scans the dict graph; sparse checks the CSR freeze, its
+        # own or the caller's shared adjacency of the same signed graph.
+        adjacency = CSRAdjacency.from_graph(signed_graph) if shared else None
+        with pytest.raises(InputMismatchError, match="positive"):
+            new_sea(signed_graph, backend=backend, adjacency=adjacency)
+
+    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    def test_all_inits_entry_points_reject_signed_input(self, backend):
+        signed = Graph.from_edges(
+            [("a", "b", 3.0), ("b", "c", -5.0), ("a", "c", 2.0), ("c", "d", 1.0)]
+        )
+        with pytest.raises(InputMismatchError, match="positive_part"):
+            solve_all_initializations(signed, backend=backend)
+        with pytest.raises(InputMismatchError, match="positive_part"):
+            top_k_dcsga(signed, 2, backend=backend)
 
     def test_edgeless_graph_returns_single_vertex(self):
         graph = Graph()
