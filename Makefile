@@ -149,5 +149,6 @@ docs-check:
 	$(PYTHON) -m doctest examples/custom_backend.py
 	@echo "README + example doctests OK"
 
-## Everything a PR should pass.
-check: test docs-check examples-smoke bench-smoke
+## Everything a PR should pass (the invariant checker included, as in
+## CI's lint-invariants job).
+check: lint-invariants test docs-check examples-smoke bench-smoke

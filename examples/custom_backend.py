@@ -38,8 +38,13 @@ runs in CI's docs check)::
     ['a', 'b', 'c']
     >>> backend.counts["peel"]
     2
-    >>> backend.counts["new_sea"]
-    1
+
+    NewSEA is not a capability of its own: ``new_sea`` took the trial
+    order from ``initialization_plan`` and ran each initialisation
+    through the closure ``vertex_solver`` built once:
+
+    >>> backend.counts["initialization_plan"], backend.counts["vertex_solver"]
+    (1, 1)
 
     Unknown names stay loud (the registry raises the standard
     ``UnknownBackendError``, a ``ValueError``):
@@ -103,10 +108,6 @@ class CountingBackend(SolverBackend):
     def refine(self, graph, x0, **kwargs):
         self.counts["refine"] += 1
         return self._inner.refine(graph, x0, **kwargs)
-
-    def new_sea(self, gd_plus, **kwargs):
-        self.counts["new_sea"] += 1
-        return self._inner.new_sea(gd_plus, **kwargs)
 
     def vertex_solver(self, gd_plus, **kwargs):
         self.counts["vertex_solver"] += 1

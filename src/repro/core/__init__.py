@@ -72,7 +72,6 @@ from repro.core.sparse_solvers import (
     coordinate_descent_csr,
     csr_vertex_solver,
     expansion_step_csr,
-    new_sea_csr,
     refine_csr,
     seacd_csr,
 )
@@ -142,7 +141,6 @@ __all__ = [
     "expansion_step_csr",
     "seacd_csr",
     "refine_csr",
-    "new_sea_csr",
     "csr_vertex_solver",
     # exact oracles
     "ExactDCSAD",

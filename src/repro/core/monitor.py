@@ -157,9 +157,13 @@ class ContrastMonitor:
             raise ValueError(f"unknown measure {measure!r}")
         # Unknown/unavailable names and solver-incapable backends all
         # fail here, at construction — never steps into a stream.
+        solver_capabilities = (
+            ("peel",)
+            if measure == "average_degree"
+            else ("initialization_plan", "vertex_solver")
+        )
         get_backend(backend).require_capabilities(
-            "mean_graph",
-            "peel" if measure == "average_degree" else "new_sea",
+            "mean_graph", *solver_capabilities
         )
         self.window = window
         self.measure: Measure = measure

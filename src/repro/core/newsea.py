@@ -3,7 +3,9 @@
 ``new_sea`` runs the paper's Algorithm 5: compute the smart-initialisation
 bounds ``mu_u``, try vertices in decreasing ``mu_u`` order, run SEACD then
 Refinement from each, and stop as soon as the next bound cannot beat the
-best objective found.
+best objective found.  It is NewSEA's only implementation: every
+backend supplies just the plan (``initialization_plan``) and the
+per-vertex closure (``vertex_solver``), and the walk lives here.
 
 ``solve_all_initializations`` is the *SEACD+Refine* configuration
 (initialise from **every** vertex), which the paper uses both as the
@@ -15,10 +17,11 @@ per-vertex solver so the original-SEA baseline
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.initialization import InitializationPlan, smart_initialization_plan
+from repro.core.initialization import InitializationPlan
 from repro.core.refinement import refine
 from repro.core.seacd import seacd
 from repro.engine.registry import BackendLike, resolve_backend
@@ -92,6 +95,19 @@ def _default_solver(tol_scale: float, max_expansions: int) -> VertexSolver:
     return solve
 
 
+def _check_tol_scale(tol_scale: float) -> None:
+    """Reject a shrink precision that is not a finite positive number.
+
+    A negative ``tol_scale`` lets coordinate descent leave the simplex
+    and zero misses the KKT point: both answer wrongly instead of
+    failing.
+    """
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(
+            f"tol_scale must be a finite positive number, got {tol_scale!r}"
+        )
+
+
 def new_sea(
     gd_plus: Graph,
     tol_scale: float = 1e-2,
@@ -107,79 +123,84 @@ def new_sea(
     negative edges because the Refinement step always lands on a positive
     clique, on which ``f_{D+} = f_D``.
 
-    *backend* is resolved through the engine registry: ``"python"`` is
-    the dict-of-dicts reference, ``"sparse"`` the vectorised CSR
-    pipeline (:func:`repro.core.sparse_solvers.new_sea_csr`) — same
-    algorithm and convergence rules, one CSR build shared across all
-    initialisations, and the ``mu_u`` bounds evaluated in a single
-    vectorised pass.  *adjacency* (CSR-capable backends only — the
-    registry validates centrally) supplies a prebuilt
-    :class:`~repro.graph.sparse.CSRAdjacency` of ``gd_plus`` so callers
-    running many queries on one graph — the batch layer, through
-    :class:`~repro.engine.prepared.PreparedGraph` — skip even that
-    single CSR build and, since the plan is memoised on the adjacency,
-    every initialisation plan after the first.
+    *backend* is resolved through the engine registry and supplies the
+    two parts of the walk: the ``mu_u`` trial order
+    (``initialization_plan``) and the per-vertex SEACD + Refinement
+    closure (``vertex_solver``).  This function walks the plan itself,
+    so every backend runs the same early-stop rule.  On a CSR-capable
+    backend (``"sparse"``, ``"native"``) ``GD+`` is frozen once and that
+    one :class:`~repro.graph.sparse.CSRAdjacency` is shared by the plan
+    and every initialisation; *adjacency* supplies it prebuilt (the
+    registry rejects it on other backends), so callers running many
+    queries on one graph — the batch layer, through
+    :class:`~repro.engine.prepared.PreparedGraph` — skip the freeze and,
+    since the plan is memoised on the adjacency, every plan after the
+    first.  A caller's *plan* is read, never mutated.
 
     Signed input raises :class:`~repro.exceptions.InputMismatchError`
     (a ``ValueError``) on every backend: the python backend scans the
     dict graph, the CSR backends check the frozen adjacency's weights.
+    A ``tol_scale`` that is not a finite positive number raises
+    ``ValueError``.
     """
+    from repro.obs.trace import current_tracer
+
     if gd_plus.num_vertices == 0:
         raise ValueError("graph has no vertices")
+    _check_tol_scale(tol_scale)
     solver_backend = resolve_backend(backend)
     solver_backend.check_adjacency(adjacency)
-    return solver_backend.new_sea(
-        gd_plus,
-        tol_scale=tol_scale,
-        max_expansions=max_expansions,
-        plan=plan,
-        adjacency=adjacency,
-    )
+    # One span around the walk: the CSR solver's runs open no spans of
+    # their own, so without it their time would land in the caller's.
+    with current_tracer().span("new_sea"):
+        if adjacency is None and solver_backend.supports_shared_adjacency:
+            from repro.graph.sparse import CSRAdjacency
 
+            adjacency = CSRAdjacency.from_graph(gd_plus)
+        # The solver first: building it runs the backend's GD+ positivity
+        # check, which must fail before a plan is built on signed input.
+        solver = solver_backend.vertex_solver(
+            gd_plus,
+            tol_scale=tol_scale,
+            max_expansions=max_expansions,
+            adjacency=adjacency,
+        )
+        if plan is None:
+            plan = solver_backend.initialization_plan(
+                gd_plus, adjacency=adjacency
+            )
 
-def _new_sea_python(
-    gd_plus: Graph,
-    tol_scale: float = 1e-2,
-    max_expansions: int = 10_000,
-    plan: Optional[InitializationPlan] = None,
-) -> DCSGAResult:
-    """The reference implementation behind the ``python`` backend."""
-    _require_positive(gd_plus)
-    if plan is None:
-        plan = smart_initialization_plan(gd_plus)
-    solver = _default_solver(tol_scale, max_expansions)
+        best_x: Optional[Dict[Vertex, float]] = None
+        best_objective = 0.0
+        initializations = 0
+        errors = 0
+        pruned_at: Optional[float] = None
+        for vertex in plan.order:
+            bound = plan.mu[vertex]
+            if bound <= best_objective:
+                # Sorted descending: nothing later can beat the incumbent.
+                pruned_at = bound
+                break
+            x, objective, run_errors = solver(gd_plus, vertex)
+            errors += run_errors
+            initializations += 1
+            if objective > best_objective or best_x is None:
+                best_x, best_objective = x, objective
 
-    best_x: Optional[Dict[Vertex, float]] = None
-    best_objective = 0.0
-    initializations = 0
-    errors = 0
-    pruned_at: Optional[float] = None
-    for vertex in plan.order:
-        bound = plan.mu[vertex]
-        if bound <= best_objective:
-            # Sorted descending: nothing later can beat the incumbent.
-            pruned_at = bound
-            break
-        x, objective, run_errors = solver(gd_plus, vertex)
-        errors += run_errors
-        initializations += 1
-        if objective > best_objective or best_x is None:
-            best_x, best_objective = x, objective
+        if best_x is None:
+            # Edgeless GD+ (mu == 0 everywhere): a single vertex is optimal.
+            vertex = min(gd_plus.vertices(), key=repr)
+            best_x, best_objective = {vertex: 1.0}, 0.0
 
-    if best_x is None:
-        # Edgeless GD+ (mu == 0 everywhere): a single vertex is optimal.
-        vertex = min(gd_plus.vertices(), key=repr)
-        best_x, best_objective = {vertex: 1.0}, 0.0
-
-    return DCSGAResult(
-        x=best_x,
-        objective=best_objective,
-        support={u for u, w in best_x.items() if w > 0.0},
-        is_positive_clique=is_clique(gd_plus, best_x),
-        initializations=initializations,
-        expansion_errors=errors,
-        pruned_at_bound=pruned_at,
-    )
+        return DCSGAResult(
+            x=best_x,
+            objective=best_objective,
+            support={u for u, w in best_x.items() if w > 0.0},
+            is_positive_clique=is_clique(gd_plus, best_x),
+            initializations=initializations,
+            expansion_errors=errors,
+            pruned_at_bound=pruned_at,
+        )
 
 
 def solve_all_initializations(
@@ -209,6 +230,7 @@ def solve_all_initializations(
     are subsets of other found supports dropped.
     """
     if solver is None:
+        _check_tol_scale(tol_scale)
         solver_backend = resolve_backend(backend)
         solver_backend.check_adjacency(adjacency)
         solver = solver_backend.vertex_solver(

@@ -16,11 +16,12 @@ shared :class:`~repro.graph.sparse.CSRAdjacency` instead of dict loops:
   only sparse-matrix work is one induced block ``D[Z][:, Z]``.
 * :func:`seacd_csr` / :func:`refine_csr` — Algorithms 3 and 4 looping
   over the two kernels above.
-* :func:`new_sea_csr` — Algorithm 5: the smart-initialisation bounds are
-  computed in one vectorised pass (see
-  :func:`repro.core.initialization.smart_initialization_plan` with
-  ``backend="sparse"``), the CSR matrix is built **once** and shared by
-  every initialisation.
+* :func:`csr_vertex_solver` — SEACD + Refinement from one vertex over a
+  CSR matrix built **once** and shared by every initialisation;
+  :func:`repro.core.newsea.new_sea` walks the smart-initialisation plan
+  with it, and
+  :func:`repro.core.newsea.solve_all_initializations` runs it from
+  every vertex.
 * :data:`SPARSE_KERNELS` — the three hot loops (coordinate descent,
   peeling, replicator dynamics) as the kernel set of the ``sparse``
   backend; :class:`repro.core.native_kernels.KernelSet` is its compiled
@@ -40,10 +41,8 @@ import numpy as np
 from repro.affinity.replicator import _replicator_sparse
 from repro.core.coordinate_descent import _best_pair_move
 from repro.core.expansion import PRUNE_EPS
-from repro.core.initialization import InitializationPlan
 from repro.core.seacd import SEACDResult, SEACDStats
 from repro.exceptions import VertexNotFound
-from repro.graph.cliques import is_clique
 from repro.graph.graph import Graph, Vertex
 from repro.graph.sparse import CSRAdjacency
 from repro.peeling.greedy import _peel_sparse
@@ -395,7 +394,7 @@ def _refine_vec(
 
 
 # ----------------------------------------------------------------------
-# Algorithm 5 — NewSEA with batched smart initialisation
+# the per-vertex solver NewSEA walks its plan with
 # ----------------------------------------------------------------------
 def _solve_one_vec(
     adj: CSRAdjacency,
@@ -421,8 +420,9 @@ def csr_vertex_solver(
 ):
     """A ``VertexSolver`` closure over one shared CSR adjacency.
 
-    Drop-in for :func:`repro.core.newsea.solve_all_initializations`'s
-    *solver* parameter: the CSR matrix is built once here, not once per
+    The CSR backends' ``vertex_solver``, which ``new_sea`` and
+    ``solve_all_initializations`` call once per initialisation: the CSR
+    matrix is frozen once (or taken from *adjacency*), not once per
     initialisation.
     """
     adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
@@ -442,70 +442,6 @@ def csr_vertex_solver(
         return adj.embedding_dict(x), objective, errors
 
     return solve
-
-
-def new_sea_csr(
-    gd_plus: Graph,
-    tol_scale: float = 1e-2,
-    max_expansions: int = 10_000,
-    plan: Optional[InitializationPlan] = None,
-    adjacency: Optional[CSRAdjacency] = None,
-    cd: CoordinateDescentFn = coordinate_descent_csr,
-):
-    """Algorithm 5 on the CSR backend; mirrors :func:`repro.core.newsea.new_sea`.
-
-    The caller (:func:`repro.core.newsea.new_sea` with
-    ``backend="sparse"``) has already rejected an empty graph; signed
-    input fails the freeze's positivity check.  Builds the CSR adjacency
-    once (or takes the caller's), takes the ``mu_u`` bounds from the
-    plan memoised on it (one vectorised pass on first use), then walks
-    the descending-bound order with the same early-stop rule as the
-    reference backend.  A caller's *plan* is read, never mutated.
-    """
-    from repro.core.newsea import DCSGAResult
-    from repro.core.initialization import smart_initialization_plan
-
-    adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
-    if plan is None:
-        plan = smart_initialization_plan(
-            gd_plus, backend="sparse", adjacency=adj
-        )
-
-    best_x: Optional[np.ndarray] = None
-    best_objective = 0.0
-    initializations = 0
-    errors = 0
-    pruned_at: Optional[float] = None
-    for vertex in plan.order:
-        bound = plan.mu[vertex]
-        if bound <= best_objective:
-            # Sorted descending: nothing later can beat the incumbent.
-            pruned_at = bound
-            break
-        x, objective, run_errors = _solve_one_vec(
-            adj, adj.index[vertex], tol_scale, max_expansions, cd=cd
-        )
-        errors += run_errors
-        initializations += 1
-        if objective > best_objective or best_x is None:
-            best_x, best_objective = x, objective
-
-    if best_x is not None:
-        embedding = adj.embedding_dict(best_x)
-    else:
-        # Edgeless GD+ (mu == 0 everywhere): a single vertex is optimal.
-        vertex = min(gd_plus.vertices(), key=repr)
-        embedding, best_objective = {vertex: 1.0}, 0.0
-
-    return DCSGAResult(
-        x=embedding,
-        objective=best_objective,
-        support={u for u, w in embedding.items() if w > 0.0},
-        is_positive_clique=is_clique(gd_plus, embedding),
-        initializations=initializations,
-        expansion_errors=errors,
-        pruned_at_bound=pruned_at,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,10 @@ native     numba          the sparse backend class with the Numba
                           only when SciPy *and* Numba import
 ========== ============== =================================================
 
+No backend implements NewSEA (Algorithm 5) itself:
+:func:`repro.core.newsea.new_sea` walks each backend's
+``initialization_plan`` with its ``vertex_solver``.
+
 Every method body is a lazy import of the kernel it wraps — the
 registry stays import-light and free of cycles (the core modules import
 the registry to dispatch, the backends import the core modules to
@@ -34,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.affinity.replicator import ReplicatorResult
     from repro.core.initialization import InitializationPlan
     from repro.core.native_kernels import KernelSet
-    from repro.core.newsea import DCSGAResult, VertexSolver
+    from repro.core.newsea import VertexSolver
     from repro.core.refinement import RefinementResult
     from repro.core.seacd import SEACDResult
     from repro.core.sparse_solvers import SparseKernels
@@ -89,23 +93,6 @@ class PythonBackend(SolverBackend):
             x0,
             tol_scale=tol_scale,
             max_cd_iterations=max_cd_iterations,
-        )
-
-    def new_sea(
-        self,
-        gd_plus: "Graph",
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        plan: Optional["InitializationPlan"] = None,
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "DCSGAResult":
-        from repro.core.newsea import _new_sea_python
-
-        return _new_sea_python(
-            gd_plus,
-            tol_scale=tol_scale,
-            max_expansions=max_expansions,
-            plan=plan,
         )
 
     def vertex_solver(
@@ -248,25 +235,6 @@ class SparseBackend(SolverBackend):
             objective=objective,
             merges=merges,
             initial_objective=initial,
-        )
-
-    def new_sea(
-        self,
-        gd_plus: "Graph",
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        plan: Optional["InitializationPlan"] = None,
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "DCSGAResult":
-        from repro.core.sparse_solvers import new_sea_csr
-
-        return new_sea_csr(
-            gd_plus,
-            tol_scale=tol_scale,
-            max_expansions=max_expansions,
-            plan=plan,
-            adjacency=adjacency,
-            cd=self.kernels().coordinate_descent,
         )
 
     def vertex_solver(

@@ -42,6 +42,7 @@ JSON layout of :meth:`SolveResult.payload` (also the canonical bytes)::
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
@@ -82,6 +83,10 @@ class SolveRequest:
             )
         if self.k <= 0:
             raise ValueError("k must be positive")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ValueError(
+                f"tol_scale must be a finite positive number, got {self.tol_scale!r}"
+            )
 
     @property
     def kind(self) -> str:

@@ -6,7 +6,9 @@ numba/JIT kernel set, a sharded remote executor, an instrumented test
 double) meant editing ten call sites.  Now a backend is an object:
 
 * subclass :class:`SolverBackend` and override the capabilities you
-  provide (the names in :data:`CAPABILITIES`);
+  provide (the names in :data:`CAPABILITIES`) — NewSEA (Algorithm 5)
+  is not one of them: :func:`repro.core.newsea.new_sea` walks any
+  backend's ``initialization_plan`` with its ``vertex_solver``;
 * call :func:`register_backend` with a name (and optional aliases);
 * every layer — core solvers, CLI, batch service, streaming engine —
   immediately accepts the new name.
@@ -45,7 +47,7 @@ from repro.exceptions import (
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (no cycles at runtime)
     from repro.affinity.replicator import ReplicatorResult
     from repro.core.initialization import InitializationPlan
-    from repro.core.newsea import DCSGAResult, VertexSolver
+    from repro.core.newsea import VertexSolver
     from repro.core.refinement import RefinementResult
     from repro.core.seacd import SEACDResult
     from repro.graph.graph import Graph, Vertex
@@ -67,7 +69,7 @@ BackendLike = Union[str, "SolverBackend"]
 #: Every capability a backend can provide: the method names of
 #: :class:`SolverBackend` that solver entry points dispatch to.
 CAPABILITIES = (
-    "peel", "seacd", "refine", "new_sea", "vertex_solver",
+    "peel", "seacd", "refine", "vertex_solver",
     "initialization_plan", "replicator", "mean_graph",
 )
 
@@ -169,17 +171,6 @@ class SolverBackend:
         """Algorithm 4: merge to a positive-clique support."""
         raise BackendCapabilityError(self.name, "refine")
 
-    def new_sea(
-        self,
-        gd_plus: "Graph",
-        tol_scale: float = 1e-2,
-        max_expansions: int = 10_000,
-        plan: Optional["InitializationPlan"] = None,
-        adjacency: Optional["CSRAdjacency"] = None,
-    ) -> "DCSGAResult":
-        """Algorithm 5: smart-initialised SEACD + refinement."""
-        raise BackendCapabilityError(self.name, "new_sea")
-
     def vertex_solver(
         self,
         gd_plus: "Graph",
@@ -187,7 +178,9 @@ class SolverBackend:
         max_expansions: int = 10_000,
         adjacency: Optional["CSRAdjacency"] = None,
     ) -> "VertexSolver":
-        """A per-vertex SEACD+Refine closure for all-inits drivers."""
+        """A per-vertex SEACD+Refine closure: what ``new_sea`` and
+        ``solve_all_initializations`` run from each initial vertex.
+        Building it checks that ``gd_plus`` is positive."""
         raise BackendCapabilityError(self.name, "vertex_solver")
 
     def initialization_plan(
@@ -195,7 +188,8 @@ class SolverBackend:
         gd_plus: "Graph",
         adjacency: Optional["CSRAdjacency"] = None,
     ) -> "InitializationPlan":
-        """Theorem 6 smart-initialisation bounds ``mu_u`` + trial order."""
+        """Theorem 6 smart-initialisation bounds ``mu_u`` + trial order
+        (the plan ``new_sea`` walks)."""
         raise BackendCapabilityError(self.name, "initialization_plan")
 
     def replicator(

@@ -84,9 +84,9 @@ for _capability in CAPABILITIES:
 def wrap_backend(backend: SolverBackend, tracer: Tracer) -> SolverBackend:
     """Wrap *backend* for *tracer*, idempotently.
 
-    Re-resolving inside an already-traced call (the python NewSEA
-    driver resolves per-vertex ``seacd``/``refine`` through the module
-    entry points) must not stack wrappers for the same tracer.
+    Re-resolving inside an already-traced call (the python backend's
+    vertex solver resolves per-vertex ``seacd``/``refine`` through the
+    module entry points) must not stack wrappers for the same tracer.
     """
     if isinstance(backend, TracingBackend) and backend.tracer is tracer:
         return backend

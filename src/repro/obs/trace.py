@@ -35,6 +35,7 @@ Span-name convention (what :func:`phase_of` keys on)::
                                  PreparedGraph build steps  -> "prepare"
     backend.<capability>         TracingBackend calls, one  -> "<capability>"
                                  per name in engine.registry.CAPABILITIES
+    new_sea                      NewSEA's plan walk         -> "new_sea"
     seacd.shrink / seacd.expand  Algorithm 3 stages         -> "shrink"/"expand"
 """
 

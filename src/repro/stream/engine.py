@@ -37,6 +37,7 @@ gates the engine's speedup against it *with identical alert sets*.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -253,11 +254,18 @@ class StreamingDCSEngine:
             raise ValueError(f"unknown measure {measure!r}")
         # Unknown names, missing dependencies and solver-incapable
         # backends all fail here — never at some later dirty step.
-        get_backend(backend).require_capabilities(
-            "peel" if measure == "average_degree" else "new_sea"
-        )
+        if measure == "average_degree":
+            get_backend(backend).require_capabilities("peel")
+        else:
+            get_backend(backend).require_capabilities(
+                "initialization_plan", "vertex_solver"
+            )
         if k < 1:
             raise ValueError("k must be positive")
+        if not (math.isfinite(tol_scale) and tol_scale > 0):
+            raise ValueError(
+                f"tol_scale must be a finite positive number, got {tol_scale!r}"
+            )
         if topk_strategy not in ("vertices", "edges"):
             raise ValueError(f"unknown removal strategy {topk_strategy!r}")
         self.universe: Set[Vertex] = set(universe)

@@ -40,6 +40,7 @@ from repro.engine import (
     solve,
     unregister_backend,
 )
+from repro.engine.registry import CAPABILITIES
 from repro.exceptions import (
     BackendCapabilityError,
     BackendUnavailableError,
@@ -138,12 +139,14 @@ class TestRegistry:
     def test_has_and_require_capabilities(self):
         python = get_backend("python")
         tree = get_backend("segment_tree")
-        assert python.has_capability("new_sea")
+        assert python.has_capability("vertex_solver")
         assert tree.has_capability("peel")
-        assert not tree.has_capability("new_sea")
-        python.require_capabilities("peel", "new_sea", "mean_graph")
+        assert not tree.has_capability("vertex_solver")
+        python.require_capabilities(
+            "peel", "initialization_plan", "vertex_solver", "mean_graph"
+        )
         with pytest.raises(BackendCapabilityError):
-            tree.require_capabilities("peel", "new_sea")
+            tree.require_capabilities("peel", "vertex_solver")
 
     def test_long_lived_consumers_fail_fast_on_incapable_backends(self):
         # Monitor and streaming engine must reject a solver-incapable
@@ -264,9 +267,13 @@ class TestCustomBackendPlugsInEverywhere:
                 calls.append("peel")
                 return get_backend("python").peel(graph, adjacency=adjacency)
 
-            def new_sea(self, gd_plus, **kwargs):
-                calls.append("new_sea")
-                return get_backend("python").new_sea(gd_plus, **kwargs)
+            def initialization_plan(self, gd_plus, adjacency=None):
+                calls.append("initialization_plan")
+                return get_backend("python").initialization_plan(gd_plus)
+
+            def vertex_solver(self, gd_plus, **kwargs):
+                calls.append("vertex_solver")
+                return get_backend("python").vertex_solver(gd_plus, **kwargs)
 
             def mean_graph(self, graphs):
                 calls.append("mean_graph")
@@ -292,7 +299,8 @@ class TestCustomBackendPlugsInEverywhere:
 
             mean_graph([gd], backend="test-counting")
             assert calls.count("mean_graph") == 1
-            assert calls.count("new_sea") == 1
+            assert calls.count("initialization_plan") == 1
+            assert calls.count("vertex_solver") == 1
             assert calls.count("peel") >= 2
         finally:
             unregister_backend("test-counting")
@@ -301,8 +309,11 @@ class TestCustomBackendPlugsInEverywhere:
         class NoCSR(SolverBackend):
             name = "test-nocsr"
 
-            def new_sea(self, gd_plus, **kwargs):
-                return get_backend("python").new_sea(gd_plus, **kwargs)
+            def initialization_plan(self, gd_plus, adjacency=None):
+                return get_backend("python").initialization_plan(gd_plus)
+
+            def vertex_solver(self, gd_plus, **kwargs):
+                return get_backend("python").vertex_solver(gd_plus, **kwargs)
 
         register_backend(NoCSR())
         try:
@@ -315,6 +326,34 @@ class TestCustomBackendPlugsInEverywhere:
                 )
         finally:
             unregister_backend("test-nocsr")
+
+    def test_plan_and_vertex_solver_are_enough_for_dcsga(self, gd):
+        # NewSEA is not a capability: new_sea walks any backend's
+        # plan with its per-vertex solver, in the library call and in
+        # the envelope alike.
+        class TwoParts(SolverBackend):
+            name = "test-two-parts"
+
+            def initialization_plan(self, gd_plus, adjacency=None):
+                return get_backend("python").initialization_plan(gd_plus)
+
+            def vertex_solver(self, gd_plus, **kwargs):
+                return get_backend("python").vertex_solver(gd_plus, **kwargs)
+
+        assert "new_sea" not in CAPABILITIES
+        register_backend(TwoParts())
+        try:
+            reference = new_sea(gd.positive_part())
+            ga = new_sea(gd.positive_part(), backend="test-two-parts")
+            assert ga == reference
+            report = solve(
+                SolveRequest(measure="affinity", backend="test-two-parts"),
+                PreparedGraph(gd),
+            )
+            assert report.subset == frozenset({"a", "b", "c"})
+            assert report.density == reference.objective
+        finally:
+            unregister_backend("test-two-parts")
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.core.native_kernels import (
     numba_available,
     warm_kernels,
 )
+from repro.core.newsea import new_sea
 from repro.exceptions import (
     BackendFallbackWarning,
     BackendUnavailableError,
@@ -350,8 +351,8 @@ class TestSolverDifferential:
         gd_plus = graph.positive_part()
         if gd_plus.num_vertices == 0:
             return
-        native = native_backend().new_sea(gd_plus)
-        sparse = sparse_backend().new_sea(gd_plus)
+        native = new_sea(gd_plus, backend=native_backend())
+        sparse = new_sea(gd_plus, backend=sparse_backend())
         assert native.support == sparse.support
         assert native.objective == sparse.objective
         assert native.x == sparse.x
@@ -363,23 +364,23 @@ class TestSolverDifferential:
 
     def test_new_sea_matches_python_reference(self):
         gd_plus = build_graph(30, 0.25, seed=31).positive_part()
-        native = native_backend().new_sea(gd_plus)
-        python = python_backend().new_sea(gd_plus)
+        native = new_sea(gd_plus, backend=native_backend())
+        python = new_sea(gd_plus, backend=python_backend())
         assert native.support == python.support
         assert native.objective == pytest.approx(python.objective, rel=1e-6)
 
     def test_one_vertex_graph(self):
         graph = Graph()
         graph.add_vertex("v")
-        native = native_backend().new_sea(graph)
+        native = new_sea(graph, backend=native_backend())
         assert native.x == {"v": 1.0}
         assert native.objective == 0.0
 
     def test_edgeless_graph_fallback(self):
         graph = Graph()
         graph.add_vertices(["b", "a", "c"])
-        native = native_backend().new_sea(graph)
-        sparse = sparse_backend().new_sea(graph)
+        native = new_sea(graph, backend=native_backend())
+        sparse = new_sea(graph, backend=sparse_backend())
         assert native.x == sparse.x == {"a": 1.0}
         assert native.objective == 0.0
 
@@ -399,9 +400,9 @@ class TestSolverDifferential:
         for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]:
             graph.add_edge(u, v, 9.0)
             graph.add_edge(u, v, 1.5)  # overwrite
-        native = native_backend().new_sea(graph)
-        sparse = sparse_backend().new_sea(graph)
-        python = python_backend().new_sea(graph)
+        native = new_sea(graph, backend=native_backend())
+        sparse = new_sea(graph, backend=sparse_backend())
+        python = new_sea(graph, backend=python_backend())
         assert native.x == sparse.x
         assert native.objective == sparse.objective
         assert native.support == python.support
@@ -526,10 +527,12 @@ class TestRegistryIntegration:
         gd_plus = gd.positive_part()
         wrong = CSRAdjacency.from_graph(gd)
         with pytest.raises(InputMismatchError):
-            native_backend().new_sea(gd_plus, adjacency=wrong)
+            new_sea(gd_plus, adjacency=wrong, backend=native_backend())
         right = CSRAdjacency.from_graph(gd_plus)
-        shared = native_backend().new_sea(gd_plus, adjacency=right)
-        rebuilt = native_backend().new_sea(gd_plus)
+        shared = new_sea(
+            gd_plus, adjacency=right, backend=native_backend()
+        )
+        rebuilt = new_sea(gd_plus, backend=native_backend())
         assert shared.x == rebuilt.x
         assert shared.objective == rebuilt.objective
 
@@ -559,7 +562,7 @@ class TestKernelCacheAndWarm:
         graph = build_graph(15, 0.3, seed=41)
         backend = native_backend()
         for _ in range(3):
-            backend.new_sea(graph.positive_part())
+            new_sea(graph.positive_part(), backend=backend)
         assert kernel_build_count() == builds
 
     def test_batch_serial_warms_once_not_per_query(self):
@@ -666,8 +669,8 @@ class TestCompiledKernels:
         interpreted = NativeBackend(jit=False)
         for seed in (0, 1, 2):
             gd_plus = build_graph(40, 0.2, seed=seed).positive_part()
-            a = compiled.new_sea(gd_plus)
-            b = interpreted.new_sea(gd_plus)
+            a = new_sea(gd_plus, backend=compiled)
+            b = new_sea(gd_plus, backend=interpreted)
             assert a.x == b.x
             assert a.objective == b.objective
             assert a.initializations == b.initializations
@@ -683,5 +686,8 @@ class TestCompiledKernels:
 
         backend = get_backend("native")
         for seed in (5, 6):
-            backend.new_sea(build_graph(25, 0.3, seed=seed).positive_part())
+            new_sea(
+                build_graph(25, 0.3, seed=seed).positive_part(),
+                backend=backend,
+            )
         assert kernel_build_count() == builds

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exact import exact_dcsga
+from repro.core.initialization import InitializationPlan
 from repro.core.newsea import new_sea, solve_all_initializations
 from repro.core.topk import top_k_dcsga
-from repro.exceptions import InputMismatchError
+from repro.exceptions import InputMismatchError, VertexNotFound
 from repro.graph.cliques import is_clique, is_positive_clique
 from repro.graph.generators import complete_graph, random_signed_graph
 from repro.graph.graph import Graph
@@ -144,3 +145,44 @@ class TestAllInits:
         top_support, _, top_objective = result.solutions[0]
         assert result.best.objective == pytest.approx(top_objective)
         assert result.best.support == set(top_support)
+
+
+class TestOneWalk:
+    """``new_sea`` walks every backend's plan with its vertex solver."""
+
+    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    @pytest.mark.parametrize("tol_scale", [0.0, -1.0])
+    def test_nonpositive_tol_scale_rejected(self, backend, tol_scale):
+        # A negative tol_scale once returned embeddings summing past 1
+        # with objectives far above the optimum; zero missed the KKT
+        # point.  Both are refused before any solve.
+        graph = Graph.from_edges(
+            [("a", "b", 3.0), ("b", "c", 2.0), ("a", "c", 2.5), ("c", "d", 1.0)]
+        )
+        with pytest.raises(ValueError, match="tol_scale"):
+            new_sea(graph, tol_scale=tol_scale, backend=backend)
+        with pytest.raises(ValueError, match="tol_scale"):
+            solve_all_initializations(
+                graph, tol_scale=tol_scale, backend=backend
+            )
+
+    @pytest.mark.parametrize("backend", ["python", "sparse"])
+    def test_plan_vertex_outside_graph_raises_vertex_not_found(self, backend):
+        plan = InitializationPlan(mu={"ghost": 10.0}, order=["ghost"])
+        with pytest.raises(VertexNotFound):
+            new_sea(complete_graph(4), plan=plan, backend=backend)
+
+    def test_sparse_without_adjacency_freezes_once(self, monkeypatch):
+        # The plan and the vertex solver share new_sea's one freeze.
+        builds = []
+        original = CSRAdjacency.from_graph.__func__
+
+        def counting(cls, graph):
+            builds.append(graph.num_vertices)
+            return original(cls, graph)
+
+        monkeypatch.setattr(CSRAdjacency, "from_graph", classmethod(counting))
+        gd_plus = random_signed_graph(20, 0.35, seed=7).positive_part()
+        result = new_sea(gd_plus, backend="sparse")
+        assert builds == [gd_plus.num_vertices]
+        assert result.initializations >= 1

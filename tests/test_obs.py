@@ -123,7 +123,8 @@ class TestPhaseDerivation:
         assert phase_of("prepare.gd_plus") == "prepare"
         assert phase_of("prepare.csr") == "prepare"
         assert phase_of("backend.peel") == "peel"
-        assert phase_of("backend.new_sea") == "new_sea"
+        assert phase_of("backend.vertex_solver") == "vertex_solver"
+        assert phase_of("new_sea") == "new_sea"
         assert phase_of("seacd.shrink") == "shrink"
         assert phase_of("seacd.expand") == "expand"
         assert phase_of("other") == "other"
@@ -463,7 +464,8 @@ class TestCliProfile:
         assert main(["dcsga", g1, g2, "--profile"]) == 0
         captured = capsys.readouterr()
         assert "phase sum:" in captured.err
-        assert "backend.new_sea" in captured.err
+        assert "└─ new_sea" in captured.err
+        assert "backend.vertex_solver" in captured.err
         assert "phase sum" not in captured.out
 
     def test_profile_with_json_keeps_stdout_parseable(

@@ -273,6 +273,19 @@ class TestSolveRoute:
                 == 400
             )
 
+    @pytest.mark.parametrize("kind", ["dcsga", "dcsad"])
+    @pytest.mark.parametrize("tol_scale", [0, -1])
+    def test_nonpositive_tol_scale_is_400(self, app, kind, tol_scale):
+        # A negative tol_scale once answered 200 with a wrong, cached
+        # density; both measures share the request's validation.
+        status, body = app.request(
+            "POST",
+            "/v1/solve",
+            {"graph": "uploaded", "kind": kind, "tol_scale": tol_scale},
+        )
+        assert status == 400
+        assert "tol_scale" in body["error"]
+
     def test_unknown_graph_is_404(self, app):
         status, body = app.request(
             "POST", "/v1/solve", {"graph": "missing"}
@@ -614,6 +627,20 @@ class TestBatchRoute:
         assert body["status"] == "partial"
         assert body["results"][0]["status"] == "ok"
         assert body["results"][1]["status"] == "error"
+
+    def test_nonpositive_tol_scale_fails_only_its_query(self, app):
+        queries = [
+            {"kind": "dcsga", "graph": "uploaded", "tol_scale": -1},
+            {"kind": "dcsga", "graph": "uploaded"},
+        ]
+        for _ in range(2):  # the second round would replay a cached error
+            status, body = app.request("POST", "/v1/batch", queries)
+            assert status == 200
+            bad, good = body["results"]
+            assert bad["status"] == "error"
+            assert "tol_scale" in bad["error"]
+            assert not bad.get("cached")
+            assert good["status"] == "ok"
 
     def test_file_and_event_sources_rejected(self, app):
         """Network clients must not be able to make the server read

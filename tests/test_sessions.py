@@ -265,6 +265,9 @@ class TestSessionLifecycle:
             # Unknown fields are rejected, not silently dropped.
             {"treshold": 2.0},
             {"hold_margin": 0.5},
+            # Refused at creation, not failed at the first dirty step.
+            {"measure": "affinity", "tol_scale": 0},
+            {"measure": "affinity", "tol_scale": -1},
         ],
     )
     def test_create_rejects_bad_config(self, app, bad):
