@@ -149,6 +149,9 @@ docs-check:
 	$(PYTHON) -m doctest examples/custom_backend.py
 	@echo "README + example doctests OK"
 
-## Everything a PR should pass (the invariant checker included, as in
-## CI's lint-invariants job).
-check: lint-invariants test docs-check examples-smoke bench-smoke
+## Everything a PR should pass that needs no extra package: the
+## invariant checker, the test suite, the doctests, the examples, the
+## four server tours (serve, session, obs and scale smoke), the bench
+## gates and the repository benchmark smoke.  `lint` and `coverage`
+## need ruff, mypy and pytest-cov, so they stay out.
+check: lint-invariants test docs-check examples-smoke serve-smoke session-smoke obs-smoke scale-smoke bench-smoke perfbench-smoke

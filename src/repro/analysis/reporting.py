@@ -84,8 +84,12 @@ def format_embedding(
     embedding: Iterable[Tuple[object, float]],
     max_entries: Optional[int] = None,
 ) -> str:
-    """Paper-style embedding rendering: ``{a (0.50), b (0.50)}``."""
-    items = sorted(embedding, key=lambda kv: -kv[1])
+    """Paper-style embedding rendering: ``{a (0.50), b (0.50)}``.
+
+    Entries run by descending weight; tied weights run by ``repr`` of the
+    vertex, so the text does not depend on the embedding's dict order.
+    """
+    items = sorted(embedding, key=lambda kv: (-kv[1], repr(kv[0])))
     if max_entries is not None:
         items = items[:max_entries]
     inner = ", ".join(f"{vertex} ({weight:.2f})" for vertex, weight in items)

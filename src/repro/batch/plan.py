@@ -98,10 +98,6 @@ class PrepOutput:
     qids: List[str] = field(default_factory=list)
     error: Optional[str] = None
 
-    @property
-    def is_stream(self) -> bool:
-        return isinstance(self.payload, EventLog)
-
 
 class BatchPlan:
     """The two-layer DAG for one submission, ready to execute.

@@ -39,7 +39,7 @@ from repro.core.difference import (
     positive_part,
     scale_free_quantizer,
 )
-from repro.core.embedding import Embedding, validate_simplex
+from repro.core.embedding import validate_simplex
 from repro.core.exact import (
     ExactDCSAD,
     ExactDCSGA,
@@ -91,7 +91,6 @@ __all__ = [
     "DifferenceStats",
     "difference_stats",
     # embeddings
-    "Embedding",
     "validate_simplex",
     # DCSAD
     "DCSADResult",

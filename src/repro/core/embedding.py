@@ -1,191 +1,21 @@
-"""Sparse subgraph embeddings on the standard simplex (Section III-A).
+"""The simplex check for subgraph embeddings (Section III-A).
 
 A subgraph embedding is ``x`` in the simplex ``Delta_n`` (nonnegative,
 sums to 1); ``x_u`` is the participation of vertex ``u`` and the support
-set is ``Sx = {u | x_u > 0}``.  The DCSGA objective is the graph affinity
-``f_D(x) = x^T D x``.
-
-Embeddings are stored sparsely (``dict`` vertex -> weight, zero entries
-absent) because the solvers keep supports small; gradients
-``grad_u f = 2 (Dx)_u`` are computed over neighbourhoods only.
+set is ``Sx = {u | x_u > 0}``.  The solvers carry ``x`` as a plain
+sparse ``dict`` vertex -> weight; :func:`validate_simplex` checks that
+such a dict lies on the simplex, up to :data:`SIMPLEX_TOL`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, ItemsView, Iterator, Mapping, Optional, Set
+from typing import Mapping
 
 from repro.exceptions import EmbeddingError
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Vertex
 
 #: Tolerance for simplex validation (sum-to-one and nonnegativity).
 SIMPLEX_TOL = 1e-8
-
-
-class Embedding:
-    """An immutable-ish sparse point of the standard simplex.
-
-    The class stores only strictly positive entries, so ``support()`` is
-    exactly the paper's ``Sx``.  Mutation happens through
-    :meth:`with_entry` / normalisation constructors rather than in-place
-    writes, keeping solver state transitions explicit.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(
-        self, values: Mapping[Vertex, float], validate: bool = True
-    ) -> None:
-        cleaned: Dict[Vertex, float] = {}
-        for vertex, value in values.items():
-            if value < 0:
-                if validate and value < -SIMPLEX_TOL:
-                    raise EmbeddingError(
-                        f"negative weight {value} on vertex {vertex!r}"
-                    )
-                continue
-            if value > 0:
-                cleaned[vertex] = float(value)
-        if validate:
-            total = sum(cleaned.values())
-            if abs(total - 1.0) > SIMPLEX_TOL:
-                raise EmbeddingError(
-                    f"embedding sums to {total!r}, expected 1"
-                )
-        self._values = cleaned
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def unit(cls, vertex: Vertex) -> "Embedding":
-        """The vertex indicator ``e_u`` (the paper's simple init)."""
-        return cls({vertex: 1.0}, validate=False)
-
-    @classmethod
-    def uniform(cls, vertices: Iterable[Vertex]) -> "Embedding":
-        """Uniform weights over *vertices*."""
-        members = list(vertices)
-        if not members:
-            raise EmbeddingError("cannot build a uniform embedding of nothing")
-        share = 1.0 / len(members)
-        return cls({v: share for v in members}, validate=False)
-
-    @classmethod
-    def normalized(cls, values: Mapping[Vertex, float]) -> "Embedding":
-        """Scale nonnegative *values* onto the simplex (L1 normalise)."""
-        positives = {v: w for v, w in values.items() if w > 0}
-        total = sum(positives.values())
-        if total <= 0:
-            raise EmbeddingError("cannot normalise a nonpositive vector")
-        return cls(
-            {v: w / total for v, w in positives.items()}, validate=False
-        )
-
-    # ------------------------------------------------------------------
-    # protocol
-    # ------------------------------------------------------------------
-    def __getitem__(self, vertex: Vertex) -> float:
-        return self._values.get(vertex, 0.0)
-
-    def get(self, vertex: Vertex, default: float = 0.0) -> float:
-        return self._values.get(vertex, default)
-
-    def __contains__(self, vertex: Vertex) -> bool:
-        return vertex in self._values
-
-    def __iter__(self) -> Iterator[Vertex]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def items(self) -> ItemsView[Vertex, float]:
-        return self._values.items()
-
-    def as_dict(self) -> Dict[Vertex, float]:
-        """A fresh mutable copy of the positive entries."""
-        return dict(self._values)
-
-    def support(self) -> Set[Vertex]:
-        """The support set ``Sx = {u | x_u > 0}``."""
-        return set(self._values)
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{v!r}: {w:.4f}"
-            for v, w in sorted(self._values.items(), key=lambda kv: -kv[1])[:6]
-        )
-        suffix = ", ..." if len(self._values) > 6 else ""
-        return f"<Embedding |S|={len(self._values)} {{{entries}{suffix}}}>"
-
-    def close_to(self, other: "Embedding", tol: float = 1e-9) -> bool:
-        """Entry-wise comparison within *tol*."""
-        keys = set(self._values) | set(other._values)
-        return all(abs(self[k] - other[k]) <= tol for k in keys)
-
-    # ------------------------------------------------------------------
-    # algebra against a graph
-    # ------------------------------------------------------------------
-    def affinity(self, graph: Graph) -> float:
-        """``f(x) = x^T A x`` — each edge contributes ``2 x_u x_v w``."""
-        total = 0.0
-        values = self._values
-        for u, xu in values.items():
-            if not graph.has_vertex(u):
-                continue
-            for v, weight in graph.neighbors(u).items():
-                xv = values.get(v)
-                if xv is not None:
-                    total += xu * xv * weight
-        # Each unordered pair was visited twice (once per endpoint), which
-        # is exactly the double-sum definition of x^T A x.
-        return total
-
-    def gradient(self, graph: Graph, vertex: Vertex) -> float:
-        """``grad_u f(x) = 2 (A x)_u``."""
-        values = self._values
-        total = 0.0
-        for neighbor, weight in graph.neighbors(vertex).items():
-            xv = values.get(neighbor)
-            if xv is not None:
-                total += weight * xv
-        return 2.0 * total
-
-    def gradient_map(
-        self, graph: Graph, candidates: Optional[Iterable[Vertex]] = None
-    ) -> Dict[Vertex, float]:
-        """Gradients for *candidates* (default: support plus its frontier).
-
-        Only vertices with at least one neighbour in the support can have
-        a nonzero gradient, so the default candidate set is exactly the
-        set the expansion stage needs to examine.
-        """
-        if candidates is None:
-            pool: Set[Vertex] = set(self._values)
-            for u in self._values:
-                pool.update(graph.neighbors(u))
-        else:
-            pool = set(candidates)
-        return {u: self.gradient(graph, u) for u in pool}
-
-    def with_entry(self, vertex: Vertex, value: float) -> "Embedding":
-        """A copy with ``x_vertex`` replaced (no renormalisation).
-
-        The caller is responsible for keeping the total at 1 (solver
-        moves always trade mass between two coordinates).
-        """
-        values = dict(self._values)
-        if value > 0:
-            values[vertex] = value
-        else:
-            values.pop(vertex, None)
-        return Embedding(values, validate=False)
-
-    def restricted(self, subset: Iterable[Vertex]) -> "Embedding":
-        """Project onto *subset* and renormalise."""
-        members = set(subset)
-        kept = {v: w for v, w in self._values.items() if v in members}
-        return Embedding.normalized(kept)
 
 
 def validate_simplex(values: Mapping[Vertex, float], tol: float = SIMPLEX_TOL) -> None:

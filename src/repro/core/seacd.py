@@ -25,6 +25,7 @@ from typing import Dict, List
 from repro.core.coordinate_descent import coordinate_descent
 from repro.core.expansion import expansion_step
 from repro.engine.registry import BackendLike, resolve_backend
+from repro.exceptions import VertexNotFound
 from repro.graph.graph import Graph, Vertex
 
 
@@ -153,7 +154,7 @@ def seacd_from_vertex(
 ) -> SEACDResult:
     """Convenience: SEACD initialised at the indicator ``e_vertex``."""
     if not graph.has_vertex(vertex):
-        raise KeyError(f"vertex {vertex!r} not in graph")
+        raise VertexNotFound(vertex)
     return seacd(
         graph,
         {vertex: 1.0},

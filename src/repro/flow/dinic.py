@@ -81,19 +81,6 @@ class FlowNetwork:
     def _node_id(self, node: Node) -> int:
         return self._nodes[node]
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_arcs(self) -> int:
-        """Number of arcs including automatically added reverse arcs."""
-        return len(self._head)
-
-    def residual_capacity(self, arc_id: int) -> float:
-        """Remaining capacity of *arc_id* after the last max-flow call."""
-        return self._capacity[arc_id]
-
 
 def max_flow(
     network: FlowNetwork, source: Node, sink: Node, tol: float = 1e-12

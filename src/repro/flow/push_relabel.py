@@ -1,9 +1,9 @@
 """Push-relabel maximum flow (FIFO, with the gap heuristic).
 
-A second max-flow backend next to :mod:`repro.flow.dinic`.  Goldberg's
-densest-subgraph reduction [12] was originally formulated on push-relabel
-(Goldberg wrote both); keeping both engines lets the test suite
-cross-validate them and lets Goldberg's algorithm pick a backend.
+A second max-flow engine next to :mod:`repro.flow.dinic`, kept as an
+independent cross-check: the test suite compares its flow values with
+Dinic's on the same networks.  Goldberg's densest-subgraph reduction
+[12] (:mod:`repro.flow.goldberg`) runs on Dinic only.
 
 Implementation notes:
 

@@ -2,9 +2,9 @@
 
 Everything the DCS solvers need from "a graph library" is implemented
 here from scratch: adjacency storage with signed weights
-(:class:`~repro.graph.graph.Graph`), induced-subgraph views, connected
-components, k-core decomposition, clique enumeration, matrix conversion,
-edge-list I/O and random generators.
+(:class:`~repro.graph.graph.Graph`), connected components, k-core
+decomposition, clique enumeration, matrix conversion, edge-list I/O and
+random generators.
 """
 
 from repro.graph.components import (
@@ -36,16 +36,6 @@ from repro.graph.matrices import (
     graph_from_affinity,
     vector_to_embedding,
 )
-from repro.graph.traversal import (
-    bfs_layers,
-    diameter,
-    dijkstra,
-    eccentricity,
-    hop_distances,
-    k_hop_neighborhood,
-    pairs_within_hops,
-)
-from repro.graph.views import SubgraphView
 
 __all__ = [
     "Graph",
@@ -53,14 +43,6 @@ __all__ = [
     "CSRAdjacency",
     "graph_fingerprint",
     "scipy_available",
-    "SubgraphView",
-    "bfs_layers",
-    "hop_distances",
-    "k_hop_neighborhood",
-    "pairs_within_hops",
-    "dijkstra",
-    "eccentricity",
-    "diameter",
     "affinity_matrix",
     "graph_from_affinity",
     "embedding_to_vector",

@@ -190,11 +190,6 @@ class SlidingWindowAccumulator:
             return self._last_sums[key]
         return self._last_length * self._state.get(key, 0.0)
 
-    @property
-    def window_length(self) -> int:
-        """The ``L`` used by the last :meth:`close_step`."""
-        return self._last_length
-
     def expectation_weight(self, key: EdgeKey) -> float:
         """Window-mean strength of *key* as of the last close."""
         if self._last_length == 0:
@@ -202,20 +197,3 @@ class SlidingWindowAccumulator:
         if key in self._last_sums:
             return self._last_sums[key] / self._last_length
         return self._state.get(key, 0.0)
-
-    def expectation_graph(self, vertices: Iterable[Vertex]) -> Graph:
-        """Materialise the expectation graph as of the last close (O(m)).
-
-        Provided for cross-checking against
-        :func:`repro.core.monitor.mean_graph`; the engine itself never
-        builds this.
-        """
-        graph = Graph()
-        graph.add_vertices(vertices)
-        if self._last_length == 0:
-            return graph
-        for key in set(self._state) | set(self._last_sums):
-            weight = self.expectation_weight(key)
-            if weight != 0.0:
-                graph.add_edge(key[0], key[1], weight)
-        return graph

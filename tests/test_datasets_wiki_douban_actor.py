@@ -14,6 +14,7 @@ from repro.datasets.synthetic_douban import (
     two_hop_pairs,
 )
 from repro.datasets.synthetic_wiki import wiki_interactions
+from repro.graph.generators import gnp_graph
 from repro.graph.graph import Graph
 
 
@@ -72,6 +73,20 @@ class TestDoubanPrimitives:
         assert ("a", "b") in pairs
         assert ("a", "c") in pairs  # via b
         assert len(pairs) == 3
+
+    def test_two_hop_pairs_match_brute_force(self):
+        numeric = gnp_graph(20, 0.15, seed=3)
+        graph = numeric.relabeled({u: f"u{u}" for u in numeric.vertices()})
+        vertices = sorted(graph.vertices(), key=repr)
+        expected = {
+            (u, v)
+            for i, u in enumerate(vertices)
+            for v in vertices[i + 1 :]
+            if graph.has_edge(u, v)
+            or set(graph.neighbors(u)) & set(graph.neighbors(v))
+        }
+        assert expected  # the oracle is not vacuous on this input
+        assert two_hop_pairs(graph) == expected
 
     def test_interest_graph_respects_two_hops(self):
         """Similar users farther than 2 hops get no edge."""

@@ -1,136 +1,17 @@
-"""Tests for sparse simplex embeddings."""
+"""Tests for the simplex check on sparse embeddings."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.embedding import Embedding, validate_simplex
+from repro.core.embedding import validate_simplex
 from repro.exceptions import EmbeddingError
-from repro.graph.graph import Graph
 
 
 class TestConstruction:
-    def test_unit(self):
-        x = Embedding.unit("a")
-        assert x["a"] == 1.0
-        assert x.support() == {"a"}
-        assert len(x) == 1
-
-    def test_uniform(self):
-        x = Embedding.uniform(["a", "b", "c", "d"])
-        assert x["a"] == pytest.approx(0.25)
-        assert len(x) == 4
-
-    def test_uniform_empty_rejected(self):
-        with pytest.raises(EmbeddingError):
-            Embedding.uniform([])
-
-    def test_normalized(self):
-        x = Embedding.normalized({"a": 2.0, "b": 6.0})
-        assert x["a"] == pytest.approx(0.25)
-        assert x["b"] == pytest.approx(0.75)
-
-    def test_normalized_rejects_nonpositive(self):
-        with pytest.raises(EmbeddingError):
-            Embedding.normalized({"a": 0.0})
-
-    def test_validation_of_sum(self):
-        with pytest.raises(EmbeddingError):
-            Embedding({"a": 0.3, "b": 0.3})
-
-    def test_validation_of_negatives(self):
-        with pytest.raises(EmbeddingError):
-            Embedding({"a": 1.5, "b": -0.5})
-
-    def test_zero_entries_dropped(self):
-        x = Embedding({"a": 1.0, "b": 0.0})
-        assert "b" not in x
-        assert x.support() == {"a"}
-
     def test_validate_simplex_helper(self):
         validate_simplex({"a": 0.5, "b": 0.5})
         with pytest.raises(EmbeddingError):
             validate_simplex({"a": 0.9})
         with pytest.raises(EmbeddingError):
             validate_simplex({"a": 1.5, "b": -0.5})
-
-
-class TestAlgebra:
-    def test_affinity_single_edge(self):
-        graph = Graph.from_edges([("a", "b", 4.0)])
-        x = Embedding.uniform(["a", "b"])
-        # f = 2 * 0.5 * 0.5 * 4 = 2 (edge counted in both directions).
-        assert x.affinity(graph) == pytest.approx(2.0)
-
-    def test_affinity_uniform_clique(self, triangle):
-        """Motzkin-Straus sanity: uniform on a k-clique gives (k-1)/k."""
-        x = Embedding.uniform(["a", "b", "c"])
-        assert x.affinity(triangle) == pytest.approx(2.0 / 3.0)
-
-    def test_affinity_with_negative_edges(self, signed_graph):
-        x = Embedding.uniform(["c", "d"])
-        assert x.affinity(signed_graph) == pytest.approx(2 * 0.25 * -2.0)
-
-    def test_affinity_ignores_vertices_outside_graph(self):
-        graph = Graph.from_edges([("a", "b", 1.0)])
-        x = Embedding({"a": 0.5, "ghost": 0.5}, validate=False)
-        assert x.affinity(graph) == 0.0
-
-    def test_gradient(self, triangle):
-        x = Embedding.uniform(["a", "b"])
-        # grad_c = 2 * (0.5*1 + 0.5*1) = 2.
-        assert x.gradient(triangle, "c") == pytest.approx(2.0)
-        # grad_a = 2 * (x_b * w_ab) = 1.
-        assert x.gradient(triangle, "a") == pytest.approx(1.0)
-
-    def test_gradient_map_default_candidates(self, signed_graph):
-        x = Embedding.unit("a")
-        grads = x.gradient_map(signed_graph)
-        # Support + neighbours of a: b, c, e.
-        assert set(grads) == {"a", "b", "c", "e"}
-        assert grads["b"] == pytest.approx(2 * 3.0)
-        assert grads["e"] == pytest.approx(2 * -4.0)
-
-    def test_kkt_identity_lambda_equals_2f(self, triangle):
-        """At any x: sum_u x_u grad_u = 2 f(x)."""
-        x = Embedding.normalized({"a": 1.0, "b": 2.0, "c": 3.0})
-        f = x.affinity(triangle)
-        weighted = sum(x[u] * x.gradient(triangle, u) for u in x)
-        assert weighted == pytest.approx(2 * f)
-
-
-class TestTransforms:
-    def test_with_entry_adds_and_removes(self):
-        x = Embedding.uniform(["a", "b"])
-        y = x.with_entry("c", 0.5)
-        assert y["c"] == 0.5
-        z = y.with_entry("a", 0.0)
-        assert "a" not in z
-
-    def test_restricted_renormalises(self):
-        x = Embedding.normalized({"a": 1.0, "b": 1.0, "c": 2.0})
-        y = x.restricted({"a", "c"})
-        assert y["a"] == pytest.approx(1.0 / 3.0)
-        assert y["c"] == pytest.approx(2.0 / 3.0)
-        assert "b" not in y
-
-    def test_restricted_to_nothing_rejected(self):
-        x = Embedding.unit("a")
-        with pytest.raises(EmbeddingError):
-            x.restricted({"z"})
-
-    def test_close_to(self):
-        x = Embedding.uniform(["a", "b"])
-        y = Embedding({"a": 0.5 + 1e-12, "b": 0.5 - 1e-12}, validate=False)
-        assert x.close_to(y)
-        assert not x.close_to(Embedding.unit("a"))
-
-    def test_as_dict_is_copy(self):
-        x = Embedding.unit("a")
-        d = x.as_dict()
-        d["b"] = 1.0
-        assert "b" not in x
-
-    def test_repr_contains_support_size(self):
-        x = Embedding.uniform(["a", "b", "c"])
-        assert "|S|=3" in repr(x)

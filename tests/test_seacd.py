@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.kkt import check_kkt
 from repro.core.seacd import seacd, seacd_from_vertex
+from repro.exceptions import VertexNotFound
 from repro.graph.generators import (
     complete_graph,
     planted_clique_graph,
@@ -20,8 +21,9 @@ class TestBasics:
             seacd(triangle, {})
 
     def test_unknown_vertex_rejected(self, triangle):
-        with pytest.raises(KeyError):
-            seacd_from_vertex(triangle, "ghost")
+        for backend in ("python", "sparse"):
+            with pytest.raises(VertexNotFound):
+                seacd_from_vertex(triangle, "ghost", backend=backend)
 
     def test_isolated_vertex_stays_put(self):
         graph = Graph.from_edges([("a", "b", 1.0)], vertices=["z"])

@@ -102,7 +102,13 @@ class TestSeries:
 class TestFormatters:
     def test_format_embedding(self):
         text = format_embedding([("social", 0.5), ("networks", 0.5)])
-        assert text == "{social (0.50), networks (0.50)}"
+        assert text == "{networks (0.50), social (0.50)}"
+        # Tied weights run by vertex repr, whatever the input order;
+        # weight still comes first.
+        text = format_embedding([("b", 0.5), ("a", 0.5)])
+        assert text == "{a (0.50), b (0.50)}"
+        text = format_embedding([("a", 0.25), ("b", 0.75)])
+        assert text == "{b (0.75), a (0.25)}"
 
     def test_format_embedding_truncates(self):
         items = [(f"w{i}", 1.0 / 10) for i in range(10)]
