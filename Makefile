@@ -34,6 +34,8 @@ lint-invariants:
 
 ## Lint + type gates: the invariant checker above, ruff
 ## (runtime-correctness rule tier, see ruff.toml) over the library,
+## ruff's unused-import rule (F401) over the tests and benchmarks
+## (tests/lint_fixtures holds deliberate lint bait, so it is skipped),
 ## and a `mypy --strict` pass over the engine layer (the dispatch seam
 ## every other layer builds on), the service layer (the network-facing
 ## surface, including the multi-tenant session module
@@ -46,6 +48,7 @@ lint: lint-invariants
 	@$(PYTHON) -c "import ruff" 2>/dev/null || \
 		{ echo "ruff is not installed: pip install ruff"; exit 1; }
 	$(PYTHON) -m ruff check src examples
+	$(PYTHON) -m ruff check --select F401 --extend-exclude tests/lint_fixtures tests benchmarks
 	@$(PYTHON) -c "import mypy" 2>/dev/null || \
 		{ echo "mypy is not installed: pip install mypy"; exit 1; }
 	$(PYTHON) -m mypy --strict src/repro/engine src/repro/service src/repro/obs src/repro/batch src/repro/lintkit

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from benchmarks._harness import all_named_difference_graphs, emit
 from repro.analysis.stats import NamedDifferenceGraph, dataset_stats_table
-from repro.core.difference import difference_stats
 
 
 def test_table02_dataset_statistics(benchmark):

@@ -1,9 +1,9 @@
 """Batch-query service layer — many DCS queries, one shared machinery.
 
 The paper's workloads are sweeps: Table VII times every dataset, the
-use cases scan alphas and horizons, monitoring fans one stream into
-many query shapes.  This package turns such sweeps from "a Python loop
-around :func:`~repro.core.dcsad.dcs_greedy`" into a served batch::
+use cases scan alphas and horizons.  This package turns such sweeps
+from "a Python loop around :func:`~repro.core.dcsad.dcs_greedy`" into a
+served batch::
 
     from repro.batch import BatchExecutor, BatchQuery, GraphSource
 

@@ -2,9 +2,8 @@
 
 A cached answer is keyed by **what was computed on what**, never by how
 the input was named: the key digests the input's content fingerprint
-(:func:`repro.graph.sparse.graph_fingerprint` for graphs, an event-list
-digest for streams) together with the query's canonical solver
-parameters.  Consequences:
+(:func:`repro.graph.sparse.graph_fingerprint`) together with the query's
+canonical solver parameters.  Consequences:
 
 * resubmitting a query is free, whatever path or dataset alias it used;
 * an input file changing on disk changes the fingerprint, so stale

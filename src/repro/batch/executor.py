@@ -24,9 +24,9 @@ Design decisions worth knowing:
   table as init args: each worker unpickles every shared graph exactly
   once, then serves any number of queries from it (queries themselves
   travel as tiny parameter records).
-* **Serial fallback**: ``mode="auto"`` uses a pool only when it can
-  actually help (more than one worker requested *and* more than one CPU
-  present) and quietly falls back to in-process execution otherwise —
+* **Serial fallback**: a pool starts only when it can actually help
+  (more than one worker requested, more than one query to solve *and*
+  more than one CPU present); otherwise the run stays in-process —
   same code path, same results, no pickling.  A pool whose workers die
   (:class:`~concurrent.futures.process.BrokenProcessPool`) also falls
   back, re-running the unfinished queries serially.
@@ -59,7 +59,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -73,7 +72,6 @@ from repro.batch.queries import BatchQuery, assign_qids
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
 from repro.graph.graph import Graph
-from repro.stream.events import EventLog
 
 __all__ = [
     "BatchExecutor",
@@ -100,7 +98,7 @@ class BatchResult:
     cached: bool = False
     seconds: float = 0.0
     #: phase -> self-time seconds, recorded where the solve ran (worker
-    #: process or serial host); None for cached / failed / stream rows.
+    #: process or serial host); None for cached / failed rows.
     profile: Optional[Dict[str, float]] = None
 
     @property
@@ -155,6 +153,8 @@ class BatchStats:
     """What one :meth:`BatchExecutor.run` actually did."""
 
     queries: int = 0
+    #: how the run executed: ``serial``, ``process`` or
+    #: ``process+serial-fallback``
     mode: str = "serial"
     workers: int = 1
     preps_built: int = 0
@@ -201,85 +201,43 @@ class _QuerySpec:
     params: Dict[str, Any]
 
 
-def _subset_json(subset: Iterable[object]) -> List[str]:
-    return sorted(str(v) for v in subset)
-
-
 def execute_payload(
     kind: str,
     params: Dict[str, Any],
-    payload: Union[Graph, EventLog, PreparedGraph],
+    payload: Union[Graph, PreparedGraph],
     prepared: Optional[PreparedGraph] = None,
 ) -> Dict[str, Any]:
     """Run one query on its prepared input; return the JSON-ready answer.
 
     This is the *only* place query semantics live — the serial path, the
     worker processes and the benchmarks all call it, which is what makes
-    their results byte-identical.  Graph queries go through the engine's
+    their results byte-identical.  Queries go through the engine's
     shared :class:`~repro.engine.envelope.SolveRequest` /
     :class:`~repro.engine.envelope.SolveResult` envelope; *prepared*
     optionally supplies the graph's shared
     :class:`~repro.engine.prepared.PreparedGraph` (positive part + CSR
     adjacencies, built once per fingerprint per process).
     """
-    if kind in ("dcsad", "dcsga"):
-        if prepared is None:
-            if isinstance(payload, PreparedGraph):
-                # The payload arrived already prepared (e.g. the
-                # service's warm registry, possibly attached to a
-                # shared-memory segment) — ride it as-is.
-                prepared = payload
-            else:
-                assert isinstance(payload, Graph)
-                prepared = PreparedGraph(payload)
-        return solve(SolveRequest.from_params(kind, params), prepared).payload()
-    if kind == "stream":
-        from repro.stream.engine import replay_events
-
-        assert isinstance(payload, EventLog)
-        alerts, stats = replay_events(
-            payload,
-            n_steps=params["steps"],
-            window=params["window"],
-            measure=params["measure"],
-            warmup=params["warmup"],
-            backend=params["backend"],
-            min_score=params["threshold"],
-            tol_scale=params["tol_scale"],
-        )
-        return {
-            "kind": "stream",
-            "measure": params["measure"],
-            "params": dict(params),
-            "alerts": [
-                {
-                    "step": alert.step,
-                    "score": alert.score,
-                    "subset": _subset_json(alert.subset),
-                    "measure": alert.measure,
-                    "source": alert.source,
-                }
-                for alert in alerts
-            ],
-            "stats": {
-                "steps": stats.steps,
-                "events": stats.events,
-                "full_solves": stats.full_solves,
-                "cache_hits": stats.cache_hits,
-            },
-        }
-    raise ValueError(f"unknown query kind {kind!r}")
+    if prepared is None:
+        if isinstance(payload, PreparedGraph):
+            # The payload arrived already prepared (e.g. the service's
+            # warm registry, possibly attached to a shared-memory
+            # segment) — ride it as-is.
+            prepared = payload
+        else:
+            prepared = PreparedGraph(payload)
+    return solve(SolveRequest.from_params(kind, params), prepared).payload()
 
 
 # ----------------------------------------------------------------------
 # worker-side shared state
 # ----------------------------------------------------------------------
-Payload = Union[Graph, EventLog, PreparedGraph]
+Payload = Union[Graph, PreparedGraph]
 
-#: fingerprint -> prepared payload (Graph, EventLog or an
-#: already-built PreparedGraph stub riding a shared-memory segment),
-#: set at pool init.  Pool workers only: a serial run keeps its own
-#: tables, so concurrent serial runs never see or clear each other's.
+#: fingerprint -> prepared payload (Graph or an already-built
+#: PreparedGraph), set at pool init.  Pool workers only: a serial run
+#: keeps its own tables, so concurrent serial runs never see or clear
+#: each other's.
 _SHARED_PAYLOADS: Dict[str, Payload] = {}
 #: fingerprint -> PreparedGraph (GD+ / CSR context), built lazily per
 #: process — one preparation serves every query on the fingerprint,
@@ -329,8 +287,7 @@ def _shared_prepared(
     first need and shares them across every query this process serves
     on the fingerprint — the "prepare exactly once" contract.  A
     payload that is *already* a :class:`PreparedGraph` (the service's
-    warm registry object, or its shared-memory stub unpickled at pool
-    init) is adopted directly — nothing is rebuilt.
+    warm registry object) is adopted directly — nothing is rebuilt.
     """
     prepared = table.get(fingerprint)
     if prepared is None:
@@ -440,39 +397,29 @@ def _run_spec(
     platform allows.  The lazy per-fingerprint preparation happens
     inside the guarded work, so it counts against the query's budget.
 
-    Graph queries run under a recording tracer *in the executing
-    process*; the span tree never crosses the pool boundary — only the
-    derived phase dict does, returned as the fourth element (``None``
-    on failure and for stream replays, whose per-step solves stay on
-    the no-op hot path by design).
+    Queries run under a recording tracer *in the executing process*;
+    the span tree never crosses the pool boundary — only the derived
+    phase dict does, returned as the fourth element (``None`` on
+    failure).
     """
+    from repro.obs.trace import recording
+
     payload = payloads[spec.fingerprint]
 
-    def work() -> Dict[str, Any]:
-        prepared = None
-        if isinstance(payload, (Graph, PreparedGraph)):
+    def work() -> Tuple[Dict[str, Any], Dict[str, float]]:
+        with recording() as tracer:
             prepared = _shared_prepared(
                 spec.fingerprint, payload, prepared_table
             )
-        return execute_payload(
-            spec.kind, spec.params, payload, prepared=prepared
-        )
-
-    if spec.kind in ("dcsad", "dcsga"):
-        from repro.obs.trace import recording
-
-        def traced_work() -> Tuple[Dict[str, Any], Dict[str, float]]:
-            with recording() as tracer:
-                answer = work()
-            return answer, tracer.phase_totals()
-
-        status, value, seconds = run_guarded(traced_work, timeout)
-        if status == "ok":
-            answer, profile = value
-            return status, answer, seconds, profile
-        return status, value, seconds, None
+            answer = execute_payload(
+                spec.kind, spec.params, payload, prepared=prepared
+            )
+        return answer, tracer.phase_totals()
 
     status, value, seconds = run_guarded(work, timeout)
+    if status == "ok":
+        answer, profile = value
+        return status, answer, seconds, profile
     return status, value, seconds, None
 
 
@@ -485,10 +432,10 @@ class BatchExecutor:
     Parameters
     ----------
     workers:
-        Worker processes to fan solves across (``1`` = in-process).
-    mode:
-        ``"auto"`` (pool only when it can help), ``"process"`` (force a
-        pool), or ``"serial"`` (force in-process).
+        Worker processes to fan solves across.  A pool starts only when
+        more than one is requested, more than one query needs solving
+        and the host has more than one CPU; otherwise the run stays
+        in-process (``stats.mode`` reports which happened).
     cache:
         A :class:`~repro.batch.cache.ResultCache`; defaults to a fresh
         in-memory cache owned by this executor.
@@ -500,30 +447,15 @@ class BatchExecutor:
     def __init__(
         self,
         workers: int = 1,
-        mode: str = "auto",
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
     ) -> None:
-        if mode not in ("auto", "process", "serial"):
-            raise ValueError(f"unknown mode {mode!r}")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.mode = mode
         self.cache = cache if cache is not None else ResultCache()
         self.timeout = timeout
         self.stats = BatchStats()
-
-    def _effective_mode(self, pending: int) -> str:
-        if self.mode == "process":
-            # Explicitly forced: honour it even for one worker or one
-            # query (callers use this to validate the pooled path).
-            return "process"
-        if self.mode == "serial" or self.workers == 1 or pending <= 1:
-            return "serial"
-        # auto: a pool of pure-Python solvers only helps with real CPUs;
-        # on a single core it would just add pickling and fork latency.
-        return "process" if (os.cpu_count() or 1) > 1 else "serial"
 
     def run(self, queries: Sequence[BatchQuery]) -> List[BatchResult]:
         """Execute *queries*; return one result per query, input order."""
@@ -612,8 +544,12 @@ class BatchExecutor:
             )
             pending.append((position, spec, timeout))
 
-        mode = self._effective_mode(len(pending))
-        self.stats.mode = mode
+        # A pool of pure-Python solvers only helps with several queries
+        # and real CPUs; otherwise it just adds pickling and fork latency.
+        pooled = (
+            self.workers > 1 and len(pending) > 1 and (os.cpu_count() or 1) > 1
+        )
+        self.stats.mode = "process" if pooled else "serial"
         # Backends this run will solve with, for per-process warm-up at
         # worker start (JIT compilation must happen once per process,
         # never inside a timed query).
@@ -627,7 +563,7 @@ class BatchExecutor:
             )
         )
         if pending:
-            if mode == "process":
+            if pooled:
                 try:
                     self._run_pooled(payload_table, pending, results, warm)
                 except BrokenProcessPool:

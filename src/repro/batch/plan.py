@@ -22,7 +22,6 @@ raw inputs around); the solves are what the executor fans out.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -34,7 +33,6 @@ from repro.exceptions import InputMismatchError
 from repro.graph.graph import Graph
 from repro.graph.io import read_pair
 from repro.graph.sparse import graph_fingerprint
-from repro.stream.events import EventLog, read_events
 
 PrepKey = Tuple[Hashable, ...]
 
@@ -48,8 +46,6 @@ def prep_key(query: BatchQuery) -> PrepKey:
     within one submission, the same object means the same input.
     """
     source = query.source
-    if source.kind == "events":
-        return ("events", source.events)
     transform = (query.alpha, query.flip, query.discrete, query.cap)
     if source.kind == "files":
         return ("files", source.g1, source.g2) + transform
@@ -66,22 +62,6 @@ def prep_key(query: BatchQuery) -> PrepKey:
     ) + transform
 
 
-def _event_log_fingerprint(log: EventLog) -> str:
-    """Content hash of an event log (the stream analogue of
-    :func:`~repro.graph.sparse.graph_fingerprint`)."""
-    digest = hashlib.sha256()
-    for vertex in sorted(map(repr, log.declared)):
-        digest.update(vertex.encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(b"\x01")
-    for event in log.events:
-        digest.update(
-            f"{event.t}\x00{event.u!r}\x00{event.v!r}\x00"
-            f"{float(event.w).hex()}\x00".encode("utf-8")
-        )
-    return digest.hexdigest()
-
-
 @dataclass
 class PrepOutput:
     """One executed prep node: the shared input plus its identity.
@@ -92,7 +72,7 @@ class PrepOutput:
     """
 
     key: PrepKey
-    payload: Optional[Union[Graph, EventLog, PreparedGraph]]
+    payload: Optional[Union[Graph, PreparedGraph]]
     fingerprint: str
     seconds: float
     qids: List[str] = field(default_factory=list)
@@ -160,9 +140,7 @@ class BatchPlan:
                     error=f"{type(exc).__name__}: {exc}",
                 )
                 continue
-            if isinstance(payload, EventLog):
-                fingerprint = _event_log_fingerprint(payload)
-            elif isinstance(payload, PreparedGraph):
+            if isinstance(payload, PreparedGraph):
                 # Already fingerprinted at preparation time (and the
                 # graph may live in a shared-memory segment with no
                 # dict form materialised) — never re-derive.
@@ -182,10 +160,8 @@ class BatchPlan:
 def _build_payload(
     query: BatchQuery,
     pair_cache: Dict[Tuple[str, str], Tuple[Graph, Graph]],
-) -> Union[Graph, EventLog, PreparedGraph]:
+) -> Union[Graph, PreparedGraph]:
     source = query.source
-    if source.kind == "events":
-        return read_events(source.events)
     if source.kind == "inline" and source.graph is not None:
         if (query.alpha, query.flip, query.discrete, query.cap) != (
             1.0, False, False, None,

@@ -11,14 +11,12 @@ kind      computation
 ========  =====================================================
 dcsad     DCSGreedy (``k > 1`` -> iterated top-k, Alg. 2 rounds)
 dcsga     NewSEA (``k > 1`` -> ranked positive cliques)
-stream    streaming replay of an event file -> alert log
 ========  =====================================================
 
-Sources come in four flavours: ``files`` (two edge-list paths, the CLI
+Sources come in three flavours: ``files`` (two edge-list paths, the CLI
 input format), ``registry`` (a Table II row by ``Data/Setting/GDType``
-name), ``events`` (an event file for ``stream`` queries) and ``inline``
-(an in-memory graph or pair — programmatic callers and benchmarks;
-not JSON-serialisable).
+name) and ``inline`` (an in-memory graph or pair — programmatic callers
+and benchmarks; not JSON-serialisable).
 
 Everything JSON-facing round-trips through :func:`query_to_dict` /
 :func:`query_from_dict`; :func:`read_queries` accepts either a JSON
@@ -39,6 +37,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -49,15 +48,15 @@ from repro.graph.graph import Graph
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.engine.prepared import PreparedGraph
 
-#: Query kinds (``"stream"`` is accepted as ``"stream_replay"`` too).
-KINDS = ("dcsad", "dcsga", "stream")
+#: Query kinds.
+KINDS = ("dcsad", "dcsga")
 
-#: Backend names always accepted without consulting the registry
-#: (kept for backward compatibility of the constant); any other name is
-#: validated against the live engine registry at construction time, so
-#: a query may request every registered backend — ``native``, aliases,
-#: plugins — and a typo still fails fast.
-BACKENDS = ("python", "sparse")
+
+def _check_kind(kind: object) -> None:
+    if kind not in KINDS:
+        raise InputMismatchError(
+            f"unknown query kind {kind!r}; expected one of {KINDS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class GraphSource:
 
     * ``files``    — *g1* and *g2* edge-list paths;
     * ``registry`` — *dataset* (``Data/Setting/GDType``) at *scale*;
-    * ``events``   — *events* path (``stream`` queries only);
     * ``inline``   — *graph* (a prebuilt difference graph) or *pair*
       (``(G1, G2)``); in-memory only.
     """
@@ -78,7 +76,6 @@ class GraphSource:
     g2: Optional[str] = None
     dataset: Optional[str] = None
     scale: float = 1.0
-    events: Optional[str] = None
     graph: Optional[Union[Graph, "PreparedGraph"]] = field(
         default=None, compare=False
     )
@@ -91,9 +88,6 @@ class GraphSource:
         elif self.kind == "registry":
             if not self.dataset:
                 raise InputMismatchError("registry source needs a dataset name")
-        elif self.kind == "events":
-            if not self.events:
-                raise InputMismatchError("events source needs an events path")
         elif self.kind == "inline":
             if (self.graph is None) == (self.pair is None):
                 raise InputMismatchError(
@@ -109,10 +103,6 @@ class GraphSource:
     @classmethod
     def from_registry(cls, dataset: str, scale: float = 1.0) -> "GraphSource":
         return cls(kind="registry", dataset=dataset, scale=scale)
-
-    @classmethod
-    def from_events(cls, events: str) -> "GraphSource":
-        return cls(kind="events", events=str(events))
 
     @classmethod
     def from_graph(
@@ -132,8 +122,6 @@ class GraphSource:
             if self.scale != 1.0:
                 out["scale"] = self.scale
             return out
-        if self.kind == "events":
-            return {"events": self.events}
         raise InputMismatchError(
             "inline sources are in-memory only and cannot be serialised"
         )
@@ -145,9 +133,10 @@ class BatchQuery:
 
     Difference parameters (*alpha*, *flip*, *discrete*, *cap*) shape the
     preprocessing; solver parameters (*backend*, *k*, *strategy*,
-    *tol_scale*) shape the solve; the ``stream`` fields configure the
-    replay engine.  *timeout* (seconds) bounds this query's solve in the
-    executor; ``None`` inherits the executor default.
+    *tol_scale*) shape the solve.  *backend* may name any backend the
+    engine registry knows (``native``, aliases, plugins); a typo fails
+    at construction.  *timeout* (seconds) bounds this query's solve in
+    the executor; ``None`` inherits the executor default.
     """
 
     kind: str
@@ -164,52 +153,18 @@ class BatchQuery:
     strategy: str = "vertices"
     tol_scale: float = 1e-2
     timeout: Optional[float] = None
-    # stream replay
-    window: int = 5
-    measure: str = "average_degree"
-    warmup: Optional[int] = None
-    threshold: float = 0.0
-    steps: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InputMismatchError(
-                f"unknown query kind {self.kind!r}; expected one of {KINDS}"
-            )
-        if self.backend not in BACKENDS:
-            from repro.engine.registry import backend_names
+        from repro.engine.registry import backend_names
 
-            if self.backend not in backend_names():
-                raise InputMismatchError(
-                    f"unknown backend {self.backend!r}; expected one of "
-                    f"{tuple(backend_names())}"
-                )
+        _check_kind(self.kind)
+        if self.backend not in backend_names():
+            raise InputMismatchError(
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{backend_names()}"
+            )
         if self.k <= 0:
             raise InputMismatchError("k must be positive")
-        if self.kind == "stream":
-            if self.source.kind != "events":
-                raise InputMismatchError(
-                    "stream queries need an events source"
-                )
-            if (self.alpha, self.flip, self.discrete, self.cap) != (
-                1.0, False, False, None,
-            ):
-                # The replay engine maintains its own difference graph;
-                # accepting these would silently ignore them (and
-                # cache-collide with the untransformed query).
-                raise InputMismatchError(
-                    "stream queries replay an event log; "
-                    "alpha/flip/discrete/cap do not apply"
-                )
-            if self.measure not in ("average_degree", "affinity"):
-                raise InputMismatchError(
-                    f"unknown measure {self.measure!r}"
-                )
-        else:
-            if self.source.kind == "events":
-                raise InputMismatchError(
-                    f"{self.kind} queries cannot run on an events source"
-                )
         if self.kind == "dcsad" and self.strategy not in ("vertices", "edges"):
             raise InputMismatchError(
                 f"unknown removal strategy {self.strategy!r}"
@@ -226,17 +181,6 @@ class BatchQuery:
         naming (paths, dataset names) is deliberately excluded: two
         routes to the same graph share cached results.
         """
-        if self.kind == "stream":
-            return {
-                "kind": "stream",
-                "window": self.window,
-                "measure": self.measure,
-                "warmup": self.warmup,
-                "threshold": self.threshold,
-                "steps": self.steps,
-                "backend": self.backend,
-                "tol_scale": self.tol_scale,
-            }
         params: Dict[str, Any] = {
             "kind": self.kind,
             "backend": self.backend,
@@ -290,10 +234,9 @@ def query_from_dict(
         raise InputMismatchError(f"query record must be an object: {record!r}")
     data = dict(record)
     kind = data.pop("kind", None)
-    if kind == "stream_replay":
-        kind = "stream"
     if kind is None:
         raise InputMismatchError(f"query record has no 'kind': {record!r}")
+    _check_kind(kind)
     qid = str(data.pop("qid", qid))
     if "graph" in data:
         if graph_resolver is None:
@@ -302,8 +245,6 @@ def query_from_dict(
                 f"the query service's registry): {record!r}"
             )
         source = GraphSource.from_graph(graph_resolver(str(data.pop("graph"))))
-    elif "events" in data:
-        source = GraphSource.from_events(data.pop("events"))
     elif "dataset" in data:
         source = GraphSource.from_registry(
             data.pop("dataset"), scale=float(data.pop("scale", 1.0))
@@ -318,28 +259,23 @@ def query_from_dict(
     else:
         raise InputMismatchError(
             "query record names no input "
-            f"(g1/g2, dataset, events or graph): {record!r}"
+            f"(g1/g2, dataset or graph): {record!r}"
         )
     unknown = set(data) - set(_PARAM_DEFAULTS)
     if unknown:
         raise InputMismatchError(
             f"unknown query fields {sorted(unknown)} in {record!r}"
         )
-    for name in ("k", "window", "warmup", "steps"):
-        # JSON generators often emit 3.0 for 3; accept integral floats
-        # here so the mistake surfaces as a parse error, not an opaque
-        # solver failure later.
-        value = data.get(name)
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise InputMismatchError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            data[name] = int(value)
-        elif value is not None and not isinstance(value, int):
-            raise InputMismatchError(
-                f"{name} must be an integer, got {value!r}"
-            )
+    # JSON generators often emit 3.0 for 3; accept integral floats here
+    # so the mistake surfaces as a parse error, not an opaque solver
+    # failure later.
+    k = data.get("k")
+    if isinstance(k, float):
+        if not k.is_integer():
+            raise InputMismatchError(f"k must be an integer, got {k!r}")
+        data["k"] = int(k)
+    elif k is not None and not isinstance(k, int):
+        raise InputMismatchError(f"k must be an integer, got {k!r}")
     return BatchQuery(kind=kind, source=source, qid=qid, **data)
 
 
@@ -372,29 +308,41 @@ def read_queries(source: Union[str, IO[str]]) -> List[BatchQuery]:
     return assign_qids(query_from_dict(record) for record in records)
 
 
-def assign_qids(queries: Iterable[BatchQuery]) -> List[BatchQuery]:
-    """Give every query a unique qid (shared by file and library paths).
+def fill_qids(qids: Sequence[str]) -> List[str]:
+    """The qid rule, over qid strings (``""`` = blank).
 
     Explicit qids must be unique; blank ones are filled positionally as
     ``q0, q1, ...``, skipping any name an explicit qid already took.
+    The executor and the cluster router both name a batch's queries
+    through this one function, so a scattered batch merges its results
+    under the ids one process would give them.
     """
-    items = list(queries)
     taken: Dict[str, int] = {}
-    for i, query in enumerate(items):
-        if not query.qid:
+    for i, qid in enumerate(qids):
+        if not qid:
             continue
-        if query.qid in taken:
+        if qid in taken:
             raise InputMismatchError(
-                f"duplicate qid {query.qid!r} "
-                f"(queries {taken[query.qid]} and {i})"
+                f"duplicate qid {qid!r} (queries {taken[qid]} and {i})"
             )
-        taken[query.qid] = i
+        taken[qid] = i
+    filled: List[str] = []
     auto = 0
-    for i, query in enumerate(items):
-        if query.qid:
-            continue
-        while f"q{auto}" in taken:
-            auto += 1
-        items[i] = query.with_qid(f"q{auto}")
-        taken[f"q{auto}"] = i
-    return items
+    for i, qid in enumerate(qids):
+        if not qid:
+            while f"q{auto}" in taken:
+                auto += 1
+            qid = f"q{auto}"
+            taken[qid] = i
+        filled.append(qid)
+    return filled
+
+
+def assign_qids(queries: Iterable[BatchQuery]) -> List[BatchQuery]:
+    """Give every query a unique qid by :func:`fill_qids`."""
+    items = list(queries)
+    qids = fill_qids([query.qid for query in items])
+    return [
+        query if query.qid == qid else query.with_qid(qid)
+        for query, qid in zip(items, qids)
+    ]

@@ -29,12 +29,12 @@ provenance) instead of the human-readable summary.
 
 ``repro batch`` serves many typed queries in one submission: a JSON
 array (or JSONL) of query objects — each naming a ``kind`` (``dcsad`` /
-``dcsga`` / ``stream``), an input (``g1``/``g2`` paths, a registry
-``dataset`` name, or an ``events`` file) and any of the flags above as
-fields — is planned into a deduplicated work DAG, executed across
-``--workers`` processes with per-query ``--timeout`` isolation, memoised
-in a content-addressed cache (``--cache-dir`` persists it), and written
-back as one JSONL result record per query.
+``dcsga``), an input (``g1``/``g2`` paths or a registry ``dataset``
+name) and any of the flags above as fields — is planned into a
+deduplicated work DAG, executed across ``--workers`` processes with
+per-query ``--timeout`` isolation, memoised in a content-addressed cache
+(``--cache-dir`` persists it), and written back as one JSONL result
+record per query.
 
 ``repro serve`` starts the long-running query service
 (:mod:`repro.service`): an HTTP/JSON server that keeps named graphs
@@ -44,9 +44,10 @@ per-request timeouts, ``/healthz`` and ``/metrics``.
 
 ``repro stream`` reads an **event file** (``t u v w`` lines: at step
 ``t`` the observed strength of pair ``(u, v)`` became ``w``; bare ``u``
-lines declare vertices — :mod:`repro.stream.events`), runs the
-incremental :class:`~repro.stream.engine.StreamingDCSEngine`, and
-prints one JSON alert per line.
+lines declare vertices — :mod:`repro.stream.events`), replays it through
+the incremental :class:`~repro.stream.engine.StreamingDCSEngine`
+(:func:`~repro.stream.engine.replay_events`), and prints one JSON alert
+per line.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "queries",
         help="query file: a JSON array or JSONL of query objects "
-        "(fields mirror the dcsad/dcsga/stream flags; see "
+        "(fields mirror the dcsad/dcsga flags; see "
         "repro.batch.queries)",
     )
     batch.add_argument(
@@ -166,13 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for the solve fan-out (default 1)",
-    )
-    batch.add_argument(
-        "--mode",
-        choices=("auto", "process", "serial"),
-        default="auto",
-        help="scheduler mode: auto picks a process pool only when it "
-        "can help (default auto)",
     )
     batch.add_argument(
         "--timeout",
@@ -453,15 +447,16 @@ def _cmd_dcsga(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.stream.engine import StreamingDCSEngine
+    from repro.stream.engine import replay_events
     from repro.stream.events import read_events
 
     log = read_events(args.events)
     if not log.universe:
         raise SystemExit(f"{args.events}: no vertices declared or evented")
     try:
-        engine = StreamingDCSEngine(
-            set(log.universe),
+        alerts, engine = replay_events(
+            log,
+            n_steps=args.steps,
             window=args.window,
             measure=args.measure,
             warmup=args.warmup,
@@ -471,7 +466,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # bad --top-k and friends exit cleanly
         raise SystemExit(str(exc))
-    alerts = engine.run(log.events, n_steps=args.steps)
     stats = engine.stats
     for alert in alerts:
         print(alert.to_json())
@@ -510,10 +504,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     try:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
         executor = BatchExecutor(
-            workers=args.workers,
-            mode=args.mode,
-            cache=cache,
-            timeout=args.timeout,
+            workers=args.workers, cache=cache, timeout=args.timeout
         )
     except (ValueError, OSError) as exc:  # bad --workers, cache dir, ...
         raise SystemExit(str(exc))

@@ -73,17 +73,17 @@ def _density(gd: Graph, subset: Set[Vertex]) -> float:
 def dcs_greedy(
     gd: Graph,
     backend: Backend = "heap",
-    seed: Optional[int] = None,
     prepared: Optional["PreparedGraph"] = None,
 ) -> DCSADResult:
     """Algorithm 2 on a prebuilt difference graph ``GD``.
 
-    Use :func:`dcs_greedy_pair` to start from ``(G1, G2)``.  *seed* only
-    matters in the degenerate no-positive-edge case where the paper picks
-    a random vertex.  *backend* selects the peeling priority structure:
-    ``"heap"`` / ``"segment_tree"`` (pure Python) or ``"sparse"`` (the
-    vectorised CSR backend of :mod:`repro.peeling.greedy`), resolved
-    through the engine registry.
+    Use :func:`dcs_greedy_pair` to start from ``(G1, G2)``.  In the
+    degenerate no-positive-edge case, where the paper picks a random
+    vertex, the pick is a fixed function of the vertex set.  *backend*
+    selects the peeling priority structure: ``"heap"`` /
+    ``"segment_tree"`` (pure Python) or ``"sparse"`` (the vectorised CSR
+    backend of :mod:`repro.peeling.greedy`), resolved through the engine
+    registry.
 
     *prepared* shares this graph's
     :class:`~repro.engine.prepared.PreparedGraph` context: the ``GD+``
@@ -110,9 +110,10 @@ def dcs_greedy(
     heaviest = (gd if adjacency is None else adjacency).max_weight_edge()
     if heaviest is None or heaviest[2] <= 0:
         # Case 1 of Section IV-B: no positive edge — any single vertex is
-        # optimal with density contrast 0.
-        rng = random.Random(seed)
-        vertex = rng.choice(sorted(gd.vertices(), key=repr))
+        # optimal with density contrast 0.  The paper picks one at
+        # random; this pick is seeded with 0, the seed the engine
+        # envelope has always used, so every envelope byte stays as it was.
+        vertex = random.Random(0).choice(sorted(gd.vertices(), key=repr))
         return DCSADResult(
             subset={vertex},
             density=0.0,
@@ -204,12 +205,11 @@ def dcs_greedy_pair(
     g1: Graph,
     g2: Graph,
     backend: Backend = "heap",
-    seed: Optional[int] = None,
 ) -> DCSADResult:
     """Algorithm 2 on the pair ``(G1, G2)``: builds ``GD = G2 - G1`` first."""
     from repro.core.difference import difference_graph
 
-    return dcs_greedy(difference_graph(g1, g2), backend=backend, seed=seed)
+    return dcs_greedy(difference_graph(g1, g2), backend=backend)
 
 
 def greedy_on_gd_only(gd: Graph, backend: Backend = "heap") -> DCSADResult:

@@ -71,7 +71,6 @@ class SolveRequest:
     k: int = 1
     strategy: str = "vertices"
     tol_scale: float = 1e-2
-    seed: int = 0
     #: report the KKT / positive-clique status of affinity answers
     #: (skipped by per-step streaming solves to keep the hot path lean)
     check_kkt: bool = True
@@ -233,7 +232,6 @@ def _solve_average_degree(
         answer = dcs_greedy(
             prepared.gd,
             backend=request.backend,
-            seed=request.seed,
             prepared=prepared,
         )
         return SolveResult(

@@ -241,9 +241,8 @@ class PreparedGraph:
 
         Called by the exporting owner right after
         :meth:`~repro.engine.shm.SharedGraphStore.export`: the private
-        CSR buffers are dropped in favour of the shared copy, so pickling
-        this preparation (batch pool workers) ships an attach stub and
-        the host holds exactly one copy of the arrays.
+        CSR buffers are dropped in favour of the shared copy, so the
+        host holds exactly one copy of the arrays.
         """
         self._shared = segment
         self._csr = segment.csr()
@@ -262,21 +261,13 @@ class PreparedGraph:
         return segment.close()
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        """Shared preparations pickle as an attach stub (segment name).
+        """Pickle as the constructor arguments.
 
-        Batch pool workers unpickle by mapping the same segment instead
-        of deserialising private copies of the buffers.  Private
-        preparations reduce to their constructor arguments — the CSR
-        caches are derived state the receiver rebuilds on demand.
+        The CSR caches are derived state the receiver rebuilds on
+        demand, so a shared-memory preparation arrives as a private
+        copy (its ``GD`` rebuilt from the shared CSR first).
         """
-        if self._shared is not None:
-            from repro.engine.shm import _rebuild_prepared
-
-            return (_rebuild_prepared, (self._shared.name,))
-        return (
-            PreparedGraph,
-            (self._gd, self._fingerprint, self._gd_plus),
-        )
+        return (PreparedGraph, (self.gd, self._fingerprint, self._gd_plus))
 
     # ------------------------------------------------------------------
     # safety

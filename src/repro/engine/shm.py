@@ -19,10 +19,11 @@ redundant prepare passes.  This module provides that substrate:
   rebuild; :func:`shared_prepared` goes one step further and yields a
   :class:`SharedPreparedGraph` that solvers consume exactly like a
   locally-built preparation.
-* ``CSRAdjacency.__reduce__`` / ``PreparedGraph.__reduce__`` detect
-  shm-backed arrays and pickle as an *attach stub* (segment name only),
-  so batch pool workers ride the same segment instead of re-pickling
-  megabytes of buffers.
+
+Sharing happens by name only: a process reaches a segment through
+:meth:`SharedGraphStore.attach`.  Pickling a shm-backed
+:class:`CSRAdjacency` or :class:`PreparedGraph` copies its content into
+private buffers on the receiving side.
 
 Lifecycle is explicit and counted.  Each segment carries an in-segment
 reference count, adjusted under ``flock`` on the mapping's fd (tmpfs-
@@ -45,7 +46,6 @@ explicit lifecycle plus the supervisor sweep replace it entirely.
 
 from __future__ import annotations
 
-import atexit
 import json
 import pickle
 import secrets
@@ -269,7 +269,6 @@ class SharedGraphSegment:
                 self._array("gd_indices"),
                 self._array("gd_data"),
             )
-            self._csr.shm_source = (self.name, "gd")
         return self._csr
 
     def csr_plus(self) -> CSRAdjacency:
@@ -281,7 +280,6 @@ class SharedGraphSegment:
                 self._array("plus_indices"),
                 self._array("plus_data"),
             )
-            self._csr_plus.shm_source = (self.name, "plus")
         return self._csr_plus
 
     def refcount(self) -> int:
@@ -557,49 +555,6 @@ def graph_from_csr(csr: CSRAdjacency) -> Graph:
             if j > i:
                 graph.add_edge(u, vertices[j], float(data[position]))
     return graph
-
-
-# ----------------------------------------------------------------------
-# pickle-attach support (batch workers riding segments)
-# ----------------------------------------------------------------------
-_process_store: Optional[SharedGraphStore] = None
-_process_store_lock = threading.Lock()
-
-
-def process_store() -> SharedGraphStore:
-    """This process's attach cache for pickled shm stubs.
-
-    Unpickling a shm-backed :class:`CSRAdjacency`/:class:`PreparedGraph`
-    attaches through one per-process store so a pool worker maps each
-    segment once however many queries reference it.  An ``atexit`` hook
-    drains the refcounts on clean worker exit; SIGKILLed processes are
-    reclaimed by the supervisor sweep.
-    """
-    global _process_store
-    with _process_store_lock:
-        if _process_store is None:
-            _process_store = SharedGraphStore(prefix="rp_pickle")
-            atexit.register(_drain_process_store)
-        return _process_store
-
-
-def _drain_process_store() -> None:
-    global _process_store
-    with _process_store_lock:
-        store, _process_store = _process_store, None
-    if store is not None:
-        store.close_all()
-
-
-def _rebuild_csr(name: str, which: str) -> CSRAdjacency:
-    """Unpickle hook: attach *name* and return its GD or GD+ view."""
-    segment = process_store().attach(name)
-    return segment.csr_plus() if which == "plus" else segment.csr()
-
-
-def _rebuild_prepared(name: str) -> PreparedGraph:
-    """Unpickle hook: attach *name* as a full preparation."""
-    return shared_prepared(process_store().attach(name))
 
 
 # ----------------------------------------------------------------------

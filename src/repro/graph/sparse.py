@@ -110,7 +110,6 @@ class CSRAdjacency:
         "indptr",
         "indices",
         "data",
-        "shm_source",
         "_local_map",
         "_init_plan",
     )
@@ -124,11 +123,6 @@ class CSRAdjacency:
         self.indptr = matrix.indptr
         self.indices = matrix.indices
         self.data = matrix.data
-        #: ``(segment_name, "gd"|"plus")`` when the arrays are views on a
-        #: shared-memory segment (:mod:`repro.engine.shm`); None for
-        #: privately-owned buffers.  Drives the pickle-as-attach-stub
-        #: path in :meth:`__reduce__`.
-        self.shm_source: Optional[Tuple[str, str]] = None
         #: reusable global->local scatter buffer for :meth:`dense_block`
         self._local_map: Optional[np.ndarray] = None
         #: NewSEA's initialisation plan of this (``GD+``) adjacency, built
@@ -232,22 +226,13 @@ class CSRAdjacency:
     def __reduce__(self):
         """Pickle as ``(vertices, matrix)`` and rebuild through __init__.
 
-        The batch layer ships frozen adjacencies to worker processes;
-        reducing to the constructor arguments keeps the payload minimal
+        Reducing to the constructor arguments keeps the payload minimal
         (the ``index`` map, the ``dense_block`` scratch buffer and the
         memoised initialisation plan are derived state the receiver
         rebuilds on demand) and guarantees the raw ``indptr``/``indices``/
-        ``data`` views are re-bound to the unpickled matrix.
-
-        Shared-memory-backed adjacencies pickle as an *attach stub*
-        (segment name + which view) instead: the receiving process maps
-        the same segment read-only rather than deserialising a private
-        copy of the buffers.
+        ``data`` views are re-bound to the unpickled matrix.  An
+        adjacency over a shared-memory segment arrives as a private copy.
         """
-        if self.shm_source is not None:
-            from repro.engine.shm import _rebuild_csr
-
-            return (_rebuild_csr, self.shm_source)
         return (self.__class__, (self.vertices, self.matrix))
 
     # ------------------------------------------------------------------

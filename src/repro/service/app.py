@@ -850,11 +850,9 @@ class ServiceApp:
             def resolve_graph(ref: str) -> Any:
                 # The warm PreparedGraph itself is handed to the
                 # executor: the plan adopts its fingerprint (no
-                # re-derivation), the serial path solves on it
-                # directly, and the pooled path pickles it — which for
-                # a shared-memory-backed preparation is a tiny stub
-                # that re-attaches the same segment in each pool
-                # worker instead of re-pickling the CSR buffers.
+                # re-derivation), and the one-worker executor solves on
+                # it in-process — shared-memory views included, never
+                # pickled.
                 return self.registry.resolve(ref)
 
             return assign_qids(
@@ -873,9 +871,7 @@ class ServiceApp:
         budget = None if timeout is None else timeout * len(records)
         deadline = _deadline(budget)
         arrived = time.perf_counter()
-        executor = BatchExecutor(
-            mode="serial", cache=self.cache, timeout=timeout
-        )
+        executor = BatchExecutor(cache=self.cache, timeout=timeout)
         try:
             queries: List[BatchQuery] = await self._submit(parse, deadline)
             results: List[BatchResult] = await self._submit(

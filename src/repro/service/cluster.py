@@ -73,6 +73,8 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.batch.queries import fill_qids
+from repro.exceptions import InputMismatchError
 from repro.service.http import (
     HttpRequest,
     HttpResponse,
@@ -674,8 +676,8 @@ class ClusterRouter:
         Returns ``(records, wrapper, targets, qids)``: the parsed
         records, the enclosing dict body (``None`` for a bare array),
         each record's serving worker, and the qid each record will
-        carry — explicit ones kept, blanks filled positionally exactly
-        as ``assign_qids`` fills them in one process.  ``None`` means
+        carry — filled by :func:`~repro.batch.queries.fill_qids`, the
+        rule one process names them by.  ``None`` means
         every record lands on the primary worker anyway, or the batch
         is one the router should not second-guess (malformed records,
         refs missing, duplicate qids — the worker owns those errors).
@@ -696,9 +698,8 @@ class ClusterRouter:
         n = len(self._workers)
         primary: Optional[int] = None
         targets: List[int] = []
-        taken: Dict[str, int] = {}
         explicit: List[str] = []
-        for index, record in enumerate(records):
+        for record in records:
             if not isinstance(record, dict):
                 return None
             ref = None
@@ -719,24 +720,14 @@ class ClusterRouter:
                 targets.append(primary)
             else:
                 targets.append(owner)
-            qid = str(record["qid"]) if "qid" in record else ""
-            if qid:
-                if qid in taken:
-                    return None
-                taken[qid] = index
-            explicit.append(qid)
+            explicit.append(str(record["qid"]) if "qid" in record else "")
         assert primary is not None
         if all(target == primary for target in targets):
             return None
-        qids: List[str] = []
-        auto = 0
-        for qid in explicit:
-            if not qid:
-                while f"q{auto}" in taken:
-                    auto += 1
-                qid = f"q{auto}"
-                taken[qid] = -1
-            qids.append(qid)
+        try:
+            qids = fill_qids(explicit)
+        except InputMismatchError:  # duplicate qids
+            return None
         return records, wrapper, targets, qids
 
     # -- fan-out views -------------------------------------------------

@@ -21,9 +21,10 @@ Data flow::
                                       StreamAlert ──► AlertLog / JSON
 
 Entry points: :class:`StreamingDCSEngine` (the engine),
-:func:`snapshot_recompute` (the naive full-rebuild reference used for
-parity gating), :func:`read_events` / :func:`write_events` (the
-``repro stream`` file format).
+:func:`replay_events` (one whole log through a fresh engine — what
+``repro stream`` runs), :func:`snapshot_recompute` (the naive
+full-rebuild reference used for parity gating), :func:`read_events` /
+:func:`write_events` (the ``repro stream`` file format).
 """
 
 from repro.stream.alerts import (

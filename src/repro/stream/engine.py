@@ -107,7 +107,6 @@ def solve_difference(
     measure: Measure,
     backend: str = "python",
     tol_scale: float = 1e-2,
-    seed: int = 0,
     k: int = 1,
     strategy: str = "vertices",
 ) -> List[SolveOutcome]:
@@ -144,7 +143,6 @@ def solve_difference(
             k=k,
             strategy=strategy,
             tol_scale=tol_scale,
-            seed=seed,
             check_kkt=False,
         ),
         prepared,
@@ -245,8 +243,6 @@ class StreamingDCSEngine:
         backend: str = "python",
         min_score: float = 0.0,
         tol_scale: float = 1e-2,
-        prune_eps: float = PRUNE_EPS,
-        seed: int = 0,
         k: int = 1,
         topk_strategy: str = "vertices",
     ) -> None:
@@ -277,8 +273,6 @@ class StreamingDCSEngine:
         self.backend = backend
         self.min_score = min_score
         self.tol_scale = tol_scale
-        self.prune_eps = prune_eps
-        self.seed = seed
         self.k = k
         self.topk_strategy = topk_strategy
 
@@ -412,7 +406,7 @@ class StreamingDCSEngine:
         t = self.step
         deltas = self._accumulator.close_step()
         for (u, v), value in deltas.items():
-            if abs(value) <= self.prune_eps:
+            if abs(value) <= PRUNE_EPS:
                 value = 0.0
             old = self._diff.weight(u, v)
             if value == old:
@@ -462,7 +456,6 @@ class StreamingDCSEngine:
                 self.measure,
                 backend=self.backend,
                 tol_scale=self.tol_scale,
-                seed=self.seed,
                 k=self.k,
                 strategy=self.topk_strategy,
             )
@@ -478,25 +471,25 @@ def replay_events(
     n_steps: Optional[int] = None,
     universe: Optional[Iterable[Vertex]] = None,
     **engine_params,
-) -> Tuple[AlertLog, EngineStats]:
+) -> Tuple[AlertLog, "StreamingDCSEngine"]:
     """One-shot replay: build an engine, run a whole event log, return
-    ``(alerts, stats)``.
+    ``(alerts, engine)``.
 
     *log* is an :class:`~repro.stream.events.EventLog` (its declared
     universe is used unless *universe* overrides it).  All remaining
     keyword arguments configure :class:`StreamingDCSEngine`.  This is
-    the entry point shared by ``repro stream`` and the batch layer's
-    ``stream_replay`` queries — both replay a recorded log and care only
-    about the final alert set and the engine counters.
+    what ``repro stream`` runs, and the reference a stream session's
+    feed is tested against; the finished engine carries the counters
+    (``engine.stats``) and the last ranking (:meth:`current_topk`).
     """
-    # Keep the caller's order: python NewSEA's float sums follow vertex
-    # order, so a session made from the same list must get it too.
-    members = list(universe) if universe is not None else list(log.universe)
-    if not members:
-        raise ValueError("event log declares no vertices and has no events")
+    # Hand the collection over unconverted: the engine's vertex order,
+    # and with it python NewSEA's float summation order, follows the
+    # collection it is given, so a session built from the same list
+    # replays to the same bits.
+    members = log.universe if universe is None else universe
     engine = StreamingDCSEngine(members, **engine_params)
     alerts = engine.run(log.events, n_steps=n_steps)
-    return alerts, engine.stats
+    return alerts, engine
 
 
 # ----------------------------------------------------------------------
@@ -512,8 +505,6 @@ def snapshot_recompute(
     backend: str = "python",
     min_score: float = 0.0,
     tol_scale: float = 1e-2,
-    prune_eps: float = PRUNE_EPS,
-    seed: int = 0,
 ) -> AlertLog:
     """Per-step snapshot recompute — the ContrastMonitor loop over events.
 
@@ -555,10 +546,10 @@ def snapshot_recompute(
             expected = mean_graph(history, backend=backend)
             diff = difference_graph(expected, state)
             diff = diff.map_weights(
-                lambda w: 0.0 if abs(w) <= prune_eps else w
+                lambda w: 0.0 if abs(w) <= PRUNE_EPS else w
             )
             answers = solve_difference(
-                diff, measure, backend=backend, tol_scale=tol_scale, seed=seed
+                diff, measure, backend=backend, tol_scale=tol_scale
             )
             if answers and answers[0].score > min_score:
                 log.append(

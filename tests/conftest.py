@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 # Imported eagerly so the hypothesis pytest plugin's lazy import at
 # terminal summary finds it cached.  Importing it *there* triggers an
 # assertion-rewrite ast.parse at a moment when garbage collection of
@@ -86,13 +84,6 @@ def signed_graph() -> Graph:
             ("a", "e", -4.0),
         ]
     )
-
-
-def random_signed(n: int, p: float, seed: int) -> Graph:
-    """Convenience wrapper shared by randomised tests."""
-    from repro.graph.generators import random_signed_graph
-
-    return random_signed_graph(n, p, seed=seed)
 
 
 def brute_force_densest(graph: Graph):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -17,14 +19,12 @@ from repro.batch import (
     query_to_dict,
     read_queries,
 )
-from repro.batch.plan import prep_key
 from repro.core.difference import difference_graph
 from repro.exceptions import InputMismatchError
 from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
 from repro.graph.io import write_pair
 from repro.graph.sparse import graph_fingerprint, scipy_available
-from repro.stream.events import EdgeEvent, EventLog, write_events
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires SciPy"
@@ -52,15 +52,10 @@ def pair_files(tmp_path, pair):
 
 
 @pytest.fixture
-def events_file(tmp_path):
-    events = [
-        EdgeEvent(t, "a", "b", 1.0 + (4.0 if 6 <= t <= 7 else 0.0))
-        for t in range(10)
-    ]
-    log = EventLog(events=events, declared={"a", "b", "c"})
-    path = tmp_path / "events.txt"
-    write_events(log, path)
-    return str(path)
+def two_cpus(monkeypatch):
+    """Report two CPUs, so a run with ``workers > 1`` and several
+    queries to solve starts a pool on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def mixed_queries(pair):
@@ -89,25 +84,6 @@ class TestQueryValidation:
                 source=GraphSource.from_pair(*pair),
                 backend="gpu",
             )
-
-    def test_stream_needs_events_source(self, pair):
-        with pytest.raises(InputMismatchError):
-            BatchQuery(kind="stream", source=GraphSource.from_pair(*pair))
-
-    def test_stream_rejects_difference_transform_fields(self):
-        # These would be silently ignored (and cache-collide with the
-        # untransformed query), so they must be refused up front.
-        for kwargs in ({"alpha": 0.5}, {"flip": True}, {"cap": 2.0}):
-            with pytest.raises(InputMismatchError):
-                BatchQuery(
-                    kind="stream",
-                    source=GraphSource.from_events("e.txt"),
-                    **kwargs,
-                )
-
-    def test_graph_query_rejects_events_source(self):
-        with pytest.raises(InputMismatchError):
-            BatchQuery(kind="dcsad", source=GraphSource.from_events("e.txt"))
 
     def test_nonpositive_k_rejected(self, pair):
         with pytest.raises(InputMismatchError):
@@ -144,22 +120,11 @@ class TestQuerySerialisation:
         again = query_from_dict(query_to_dict(query))
         assert again == query
 
-    def test_round_trip_stream(self):
-        query = BatchQuery(
-            kind="stream",
-            source=GraphSource.from_events("events.txt"),
-            qid="s",
-            window=7,
-            measure="affinity",
-            threshold=1.5,
-        )
-        assert query_from_dict(query_to_dict(query)) == query
-
-    def test_stream_replay_alias(self):
-        query = query_from_dict(
-            {"kind": "stream_replay", "events": "e.txt"}, qid="s"
-        )
-        assert query.kind == "stream"
+    def test_stream_record_rejected(self):
+        # Event logs are replayed by `repro stream` and stream sessions;
+        # a batch record naming one is an unknown kind.
+        with pytest.raises(InputMismatchError, match="unknown query kind"):
+            query_from_dict({"kind": "stream", "events": "e.txt"})
 
     def test_inline_sources_do_not_serialise(self, pair):
         query = BatchQuery(kind="dcsad", source=GraphSource.from_pair(*pair))
@@ -421,10 +386,14 @@ class TestBatchExecutor:
         assert result.payload["density"] == direct.density
         assert result.payload["vertices"] == sorted(map(str, direct.subset))
 
-    def test_serial_and_forced_process_are_byte_identical(self, pair):
+    def test_serial_and_forced_process_are_byte_identical(
+        self, pair, two_cpus
+    ):
         queries = mixed_queries(pair)
-        serial = BatchExecutor(mode="serial").run(queries)
-        pooled = BatchExecutor(workers=2, mode="process").run(queries)
+        serial = BatchExecutor().run(queries)
+        executor = BatchExecutor(workers=2)
+        pooled = executor.run(queries)
+        assert executor.stats.mode == "process"
         assert [r.canonical_json() for r in serial] == [
             r.canonical_json() for r in pooled
         ]
@@ -473,26 +442,24 @@ class TestBatchExecutor:
         assert "prep failed" in results[0].error
         assert results[1].status == "ok"
 
-    def test_solve_failure_isolates(self, tmp_path, pair):
-        empty_events = tmp_path / "empty.txt"
-        empty_events.write_text("# repro event log: t u v w\n")
+    def test_solve_failure_isolates(self, pair, two_cpus):
+        source = GraphSource.from_pair(*pair)
         queries = [
-            BatchQuery(
-                kind="stream",
-                source=GraphSource.from_events(str(empty_events)),
-                qid="bad",
-            ),
-            BatchQuery(
-                kind="dcsga", source=GraphSource.from_pair(*pair), qid="good"
-            ),
+            BatchQuery(kind="dcsga", source=source, qid="bad", tol_scale=-1),
+            BatchQuery(kind="dcsga", source=source, qid="good"),
         ]
         for mode, workers in (("serial", 1), ("process", 2)):
-            results = BatchExecutor(workers=workers, mode=mode).run(queries)
+            executor = BatchExecutor(workers=workers)
+            results = executor.run(queries)
+            assert executor.stats.mode == mode
             assert results[0].status == "error", mode
+            assert "tol_scale" in results[0].error, mode
             assert results[1].status == "ok", mode
 
     @pytest.mark.parametrize("mode,workers", [("serial", 1), ("process", 2)])
-    def test_timeout_isolates_and_is_not_cached(self, mode, workers):
+    def test_timeout_isolates_and_is_not_cached(
+        self, mode, workers, two_cpus
+    ):
         g1 = random_signed_graph(150, 0.15, seed=21).positive_part()
         g2 = random_signed_graph(150, 0.17, seed=22).positive_part()
         slow = BatchQuery(
@@ -505,8 +472,9 @@ class TestBatchExecutor:
         fast = BatchQuery(
             kind="dcsad", source=GraphSource.from_pair(g1, g2), qid="fast"
         )
-        executor = BatchExecutor(workers=workers, mode=mode)
+        executor = BatchExecutor(workers=workers)
         results = executor.run([slow, fast])
+        assert executor.stats.mode == mode
         assert results[0].status == "timeout"
         assert results[1].status == "ok"
         assert executor.stats.timeouts == 1
@@ -524,12 +492,10 @@ class TestBatchExecutor:
         assert retry[0].status == "ok"
         assert not retry[0].cached
 
-    def test_errors_are_never_cached(self, tmp_path):
+    def test_errors_are_never_cached(self, pair):
         """Failures can be transient — resubmission must retry them."""
-        empty_events = tmp_path / "empty.txt"
-        empty_events.write_text("# repro event log: t u v w\n")
         query = BatchQuery(
-            kind="stream", source=GraphSource.from_events(str(empty_events))
+            kind="dcsga", source=GraphSource.from_pair(*pair), tol_scale=-1
         )
         executor = BatchExecutor()
         first = executor.run([query])
@@ -548,8 +514,8 @@ class TestBatchExecutor:
         assert stats.solved == 5
         assert stats.wall_seconds > 0
 
-    def test_auto_mode_single_query_stays_serial(self, pair):
-        executor = BatchExecutor(workers=4, mode="auto")
+    def test_auto_mode_single_query_stays_serial(self, pair, two_cpus):
+        executor = BatchExecutor(workers=4)
         executor.run(
             [BatchQuery(kind="dcsad", source=GraphSource.from_pair(*pair))]
         )
@@ -591,14 +557,6 @@ class TestBatchExecutor:
                     BatchQuery(kind="dcsga", source=source, qid="same"),
                 ]
             )
-
-    def test_forced_process_mode_is_honoured(self, pair):
-        executor = BatchExecutor(workers=1, mode="process")
-        (result,) = executor.run(
-            [BatchQuery(kind="dcsad", source=GraphSource.from_pair(*pair))]
-        )
-        assert result.status == "ok"
-        assert executor.stats.mode == "process"
 
     def test_duplicate_queries_solved_once_within_a_run(self, pair):
         source = GraphSource.from_pair(*pair)
@@ -673,9 +631,45 @@ class TestBatchExecutor:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            BatchExecutor(mode="threads")
-        with pytest.raises(ValueError):
             BatchExecutor(workers=0)
+
+    @pytest.mark.skipif(
+        (
+            multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0]
+        )
+        != "fork",
+        reason="the crashing patch reaches pool workers only by fork",
+    )
+    def test_worker_crash_finishes_the_batch_in_process(
+        self, pair, two_cpus, monkeypatch
+    ):
+        from repro.batch import executor as executor_module
+
+        real = executor_module.execute_payload
+        host = os.getpid()
+
+        def crash_in_workers(kind, params, payload, prepared=None):
+            if os.getpid() != host:
+                os._exit(1)
+            return real(kind, params, payload, prepared=prepared)
+
+        monkeypatch.setattr(
+            executor_module, "execute_payload", crash_in_workers
+        )
+        source = GraphSource.from_pair(*pair)
+        queries = [
+            BatchQuery(kind="dcsad", source=source, qid="ad"),
+            BatchQuery(kind="dcsga", source=source, qid="ga"),
+        ]
+        serial = BatchExecutor().run(queries)
+        executor = BatchExecutor(workers=2)
+        results = executor.run(queries)
+        assert executor.stats.mode == "process+serial-fallback"
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert [r.canonical_json() for r in results] == [
+            r.canonical_json() for r in serial
+        ]
 
     @needs_scipy
     def test_shared_csr_reused_across_queries(self, pair, monkeypatch):
@@ -699,28 +693,10 @@ class TestBatchExecutor:
             return original(graph)
 
         monkeypatch.setattr(CSRAdjacency, "from_graph", counting)
-        results = BatchExecutor(mode="serial").run(queries)
+        results = BatchExecutor().run(queries)
         assert all(r.status == "ok" for r in results)
         # One shared freeze serves all three sparse queries.
         assert len(builds) == 1
-
-    def test_stream_query_matches_replay(self, events_file):
-        from repro.stream.engine import replay_events
-        from repro.stream.events import read_events
-
-        query = BatchQuery(
-            kind="stream",
-            source=GraphSource.from_events(events_file),
-            window=3,
-            threshold=1.0,
-        )
-        (result,) = BatchExecutor().run([query])
-        alerts, _ = replay_events(
-            read_events(events_file), window=3, min_score=1.0
-        )
-        assert [a["step"] for a in result.payload["alerts"]] == [
-            alert.step for alert in alerts
-        ]
 
     def test_registry_source_resolves(self):
         query = BatchQuery(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.clique_census import (
     census_from_all_inits,
     census_from_solutions,

@@ -6,12 +6,7 @@ import pytest
 
 from repro.analysis.metrics import uniform_affinity
 from repro.core.difference import difference_graph
-from repro.datasets.synthetic_text import (
-    DEFAULT_TOPICS,
-    association_graph,
-    keyword_corpus,
-)
-from repro.graph.graph import Graph
+from repro.datasets.synthetic_text import association_graph, keyword_corpus
 
 
 @pytest.fixture(scope="module")

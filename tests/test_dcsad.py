@@ -12,6 +12,7 @@ from repro.core.dcsad import (
 )
 from repro.core.difference import difference_graph
 from repro.core.exact import exact_dcsad
+from repro.engine import PreparedGraph, SolveRequest, solve
 from repro.graph.components import is_connected
 from repro.graph.generators import complete_graph, random_signed_graph
 from repro.graph.graph import Graph
@@ -24,11 +25,24 @@ class TestSpecialCases:
 
     def test_no_positive_edges_single_vertex(self):
         gd = Graph.from_edges([("a", "b", -1.0), ("b", "c", -2.0)])
-        result = dcs_greedy(gd, seed=0)
+        result = dcs_greedy(gd)
         assert len(result.subset) == 1
         assert result.density == 0.0
         assert result.ratio_bound is None
         assert result.winner == "single_vertex"
+
+    def test_no_positive_edges_pick_is_deterministic(self):
+        # The path a-b-c-d-e, every edge weakened: the single-vertex
+        # answer is one vertex on every call, and the envelope's vertex.
+        gd = Graph.from_edges(
+            [("a", "b", -1.0), ("b", "c", -1.0), ("c", "d", -1.0),
+             ("d", "e", -1.0)]
+        )
+        picks = {frozenset(dcs_greedy(gd).subset) for _ in range(20)}
+        envelope = solve(
+            SolveRequest(measure="average_degree"), PreparedGraph(gd)
+        )
+        assert picks == {envelope.subset}
 
     def test_edgeless_graph_single_vertex(self):
         gd = Graph()

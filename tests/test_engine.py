@@ -22,6 +22,7 @@ dispatch outside the registry seam — is enforced tree-wide by the
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -462,7 +463,7 @@ class TestPairedPreparationSharing:
 
         monkeypatch.setattr(Graph, "positive_part", counting)
         source = GraphSource.from_graph(gd)
-        results = BatchExecutor(mode="serial").run(
+        results = BatchExecutor().run(
             [
                 BatchQuery(kind="dcsad", source=source, qid="ad"),
                 BatchQuery(kind="dcsga", source=source, qid="ga"),
@@ -494,7 +495,7 @@ class TestPairedPreparationSharing:
             CSRAdjacency, "from_graph", classmethod(counting_csr)
         )
         source = GraphSource.from_graph(gd)
-        results = BatchExecutor(mode="serial").run(
+        results = BatchExecutor().run(
             [
                 BatchQuery(
                     kind="dcsad", source=source, qid="ad", backend="sparse"
@@ -683,12 +684,13 @@ class TestEnvelopeAcrossBatchModes:
             BatchQuery(kind="dcsga", source=source, qid="gak", k=2),
         ]
 
-    def test_serial_pooled_cached_identical(self, pair):
-        serial = BatchExecutor(mode="serial").run(self.queries(pair))
-        pooled = BatchExecutor(workers=2, mode="process").run(
-            self.queries(pair)
-        )
-        executor = BatchExecutor(mode="serial")
+    def test_serial_pooled_cached_identical(self, pair, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = BatchExecutor().run(self.queries(pair))
+        pooler = BatchExecutor(workers=2)
+        pooled = pooler.run(self.queries(pair))
+        assert pooler.stats.mode == "process"
+        executor = BatchExecutor()
         executor.run(self.queries(pair))
         cached = executor.run(self.queries(pair))
         assert all(r.cached for r in cached)
@@ -697,7 +699,7 @@ class TestEnvelopeAcrossBatchModes:
         assert [r.canonical_json() for r in cached] == golden
 
     def test_batch_payload_is_the_envelope_payload(self, pair, gd):
-        (result,) = BatchExecutor(mode="serial").run(
+        (result,) = BatchExecutor().run(
             [BatchQuery(kind="dcsga", source=GraphSource.from_pair(*pair))]
         )
         direct = solve(SolveRequest(measure="affinity"), PreparedGraph(gd))

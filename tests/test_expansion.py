@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import affinity
 from repro.core.coordinate_descent import coordinate_descent
 from repro.core.expansion import candidate_frontier, expansion_step
 from repro.graph.generators import complete_graph, random_signed_graph

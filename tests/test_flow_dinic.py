@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.flow.dinic import FlowNetwork, max_flow, min_cut_side, min_st_cut_value
+from repro.flow.dinic import FlowNetwork, max_flow, min_st_cut_value
 
 
 def brute_force_min_cut(edges, source, sink):

@@ -595,7 +595,7 @@ class TestKernelCacheAndWarm:
                 )
                 for g in graphs
             ]
-            executor = BatchExecutor(mode="serial")
+            executor = BatchExecutor()
             results = executor.run(queries)
             assert all(r.ok for r in results)
             # The warm-once regression: one pool/serial initialisation,
@@ -604,15 +604,18 @@ class TestKernelCacheAndWarm:
         finally:
             unregister_backend("counting_native")
 
-    def test_batch_pooled_native_queries_succeed(self):
+    def test_batch_pooled_native_queries_succeed(self, monkeypatch):
         # Pooled mode on the registered backends: the initargs plumbing
         # must pickle and the workers must produce the same payloads as
         # a serial run.  (Warm counters cannot cross the process
         # boundary; the serial test above pins the once-per-process
         # claim.)
+        import os
+
         from repro.batch.executor import BatchExecutor
         from repro.batch.queries import BatchQuery, GraphSource
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         graphs = [build_graph(12, 0.4, seed=s) for s in (1, 2)]
         queries = [
             BatchQuery(
@@ -622,8 +625,10 @@ class TestKernelCacheAndWarm:
             )
             for g in graphs
         ]
-        pooled = BatchExecutor(mode="process", workers=2).run(list(queries))
-        serial = BatchExecutor(mode="serial").run(list(queries))
+        pooler = BatchExecutor(workers=2)
+        pooled = pooler.run(list(queries))
+        serial = BatchExecutor().run(list(queries))
+        assert pooler.stats.mode == "process"
         assert all(r.ok for r in pooled)
         assert [r.canonical_json() for r in pooled] == [
             r.canonical_json() for r in serial

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.batch.executor import BatchExecutor, BatchResult
+from repro.batch.executor import BatchExecutor
 from repro.batch.queries import query_from_dict
 from repro.core.difference import assemble_difference
 from repro.engine.envelope import SolveRequest, solve
@@ -273,7 +273,7 @@ class TestBatchProfiles:
         gd = _difference_graph()
         query = query_from_dict({"qid": "q1", "kind": "dcsad", "graph": "g"},
                                 graph_resolver=lambda ref: gd)
-        executor = BatchExecutor(workers=1, mode="serial")
+        executor = BatchExecutor()
         results = executor.run([query])
         assert len(results) == 1
         result = results[0]
@@ -293,7 +293,7 @@ class TestBatchProfiles:
             {"qid": "q1", "kind": "dcsad", "graph": "g"},
             graph_resolver=lambda ref: gd,
         )
-        executor = BatchExecutor(workers=1, mode="serial")
+        executor = BatchExecutor()
         executor.run([make()])
         results = executor.run([make()])
         assert results[0].cached

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.graph.generators import complete_graph, random_signed_graph

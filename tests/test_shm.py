@@ -2,7 +2,7 @@
 
 The zero-copy substrate of the multi-worker service
 (:mod:`repro.engine.shm`): exported segments must serve byte-equal
-answers through read-only views, pickle as tiny attach stubs, refcount
+answers through read-only views, pickle as private copies, refcount
 their way to an unlink when the last holder closes, and charge a host
 for each graph exactly once however many registries hold it warm.
 """
@@ -172,42 +172,39 @@ class TestSegmentLifecycle:
 
 
 class TestPickleStubs:
-    def test_prepared_pickles_as_attach_stub(self, store):
+    """A shared-memory preparation pickles as a private copy: the
+    receiver owns its buffers and attaches no segment."""
+
+    def test_shared_prepared_pickles_as_a_private_copy(self, store):
         prepared = _prepared(seed=23)
-        reference = _answers(prepared)
         segment = store.export(prepared)
         prepared.adopt_segment(segment)
+        for shared in (prepared, shared_prepared(segment)):
+            clone = pickle.loads(pickle.dumps(shared))
+            assert type(clone) is PreparedGraph
+            assert clone.shm_segment is None
+            assert clone.fingerprint == shared.fingerprint
+            for backend in ("sparse", "python"):
+                for measure in ("average_degree", "affinity"):
+                    request = SolveRequest(measure=measure, backend=backend)
+                    assert (
+                        solve(request, clone).canonical_json()
+                        == solve(request, shared).canonical_json()
+                    )
 
-        blob = pickle.dumps(prepared)
-        # The stub names the segment instead of carrying CSR buffers.
-        assert len(blob) < 1024
-        assert segment.name.encode() in blob
+    def test_shared_csr_pickles_as_a_private_copy(self, store):
+        import numpy as np
 
-        clone = pickle.loads(blob)
-        try:
-            assert clone.fingerprint == prepared.fingerprint
-            _assert_same_answers(_answers(clone), reference)
-        finally:
-            from repro.engine.shm import process_store
-
-            # In-process unpickling rides the pickle attach cache;
-            # drop its hold so the store fixture's leak audit passes.
-            process_store().release(segment.name)
-
-    def test_csr_adjacency_pickles_as_stub(self, store):
         prepared = _prepared(seed=29)
         segment = store.export(prepared)
         csr = segment.csr()
-        blob = pickle.dumps(csr)
-        assert len(blob) < 1024
-        clone = pickle.loads(blob)
-        try:
-            assert clone.vertices == csr.vertices
-            assert (clone.data == csr.data).all()
-        finally:
-            from repro.engine.shm import process_store
-
-            process_store().release(segment.name)
+        clone = pickle.loads(pickle.dumps(csr))
+        assert clone.vertices == csr.vertices
+        assert (clone.data == csr.data).all()
+        assert (clone.indices == csr.indices).all()
+        assert (clone.indptr == csr.indptr).all()
+        # Private buffers: the clone does not view the segment.
+        assert not np.shares_memory(clone.data, csr.data)
 
 
 class TestRegistryIntegration:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.validation import (
-    RecoveryScore,
     best_match,
     recovery_report,
     score_against,
@@ -72,7 +71,6 @@ class TestReport:
     def test_end_to_end_with_solver(self):
         """NewSEA recovers planted groups on the DBLP substitute."""
         from repro.core.difference import difference_graph
-        from repro.core.newsea import new_sea
         from repro.core.topk import top_k_dcsga
         from repro.datasets.synthetic_dblp import coauthor_snapshots
 
