@@ -156,6 +156,7 @@ def server(tmp_path_factory):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_service_warm_throughput_and_byte_identity(

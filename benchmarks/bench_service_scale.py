@@ -147,6 +147,7 @@ def _stop_server(proc):
     except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
         proc.kill()
         proc.wait(timeout=10)
+    proc.stdout.close()
 
 
 def _upload_all(base, texts):

@@ -71,7 +71,6 @@ from repro.core.seacd import SEACDResult, SEACDStats, seacd, seacd_from_vertex
 from repro.core.sparse_solvers import (
     coordinate_descent_csr,
     csr_vertex_solver,
-    expansion_step_csr,
     refine_csr,
     seacd_csr,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "top_k_dcsga",
     # vectorised CSR backend
     "coordinate_descent_csr",
-    "expansion_step_csr",
     "seacd_csr",
     "refine_csr",
     "csr_vertex_solver",

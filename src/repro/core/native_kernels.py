@@ -12,9 +12,7 @@ on the flat ``indptr``/``indices``/``data`` arrays of a frozen
 * :func:`_cd_dense_kernel` / :func:`_cd_csr_kernel` — the 2-coordinate
   shrink loop (dense induced block under
   :data:`~repro.core.sparse_solvers.DENSE_SUPPORT_LIMIT`, CSR row
-  updates above it);
-* :func:`_dense_block_kernel` — the induced-block gather (a Python row
-  loop in :meth:`CSRAdjacency.dense_block`);
+  updates above it), on the block the shared orchestration gathers;
 * :func:`_peel_kernel` — Algorithm 1 greedy peeling with a faithful
   replica of CPython's lazy binary heap;
 * :func:`_replicator_kernel` — replicator dynamics, matvec included.
@@ -297,28 +295,6 @@ def _cd_csr_kernel(
     return iterations, converged
 
 
-def _dense_block_kernel(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    rows: np.ndarray,
-    local_of: np.ndarray,
-    block: np.ndarray,
-) -> None:
-    """Gather the induced block ``D[rows][:, rows]`` into *block*.
-
-    *local_of* maps global vertex -> local column (−1 outside); pure
-    scatter, so the values match :meth:`CSRAdjacency.dense_block`
-    bit-for-bit.
-    """
-    for local_row in range(rows.shape[0]):
-        global_row = rows[local_row]
-        for idx in range(indptr[global_row], indptr[global_row + 1]):
-            local_col = local_of[indices[idx]]
-            if local_col >= 0:
-                block[local_row, local_col] = data[idx]
-
-
 def _peel_kernel(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -582,7 +558,6 @@ def _replicator_kernel(
 _KERNEL_BODIES: Dict[str, Callable[..., Any]] = {
     "cd_dense": _cd_dense_kernel,
     "cd_csr": _cd_csr_kernel,
-    "dense_block": _dense_block_kernel,
     "peel": _peel_kernel,
     "replicator": _replicator_kernel,
 }
@@ -605,7 +580,6 @@ class KernelSet:
         self.jit = jit
         self.cd_dense = kernels["cd_dense"]
         self.cd_csr = kernels["cd_csr"]
-        self.dense_block_kernel = kernels["dense_block"]
         self.peel_kernel = kernels["peel"]
         self.replicator_kernel = kernels["replicator"]
         self.warmed = False
@@ -613,59 +587,35 @@ class KernelSet:
     def __repr__(self) -> str:
         return f"<KernelSet jit={self.jit} warmed={self.warmed}>"
 
-    # -- induced block -------------------------------------------------
-    def dense_block(self, adj: "CSRAdjacency", rows: np.ndarray) -> np.ndarray:
-        """``D[rows][:, rows]`` dense, via the compiled gather."""
-        size = int(rows.size)
-        local_of = np.full(adj.n, -1, dtype=np.int64)
-        local_of[rows] = np.arange(size)
-        block = np.zeros((size, size), dtype=np.float64)
-        self.dense_block_kernel(
-            adj.indptr, adj.indices, adj.data, rows, local_of, block
-        )
-        return block
-
     # -- 2-coordinate descent (the cd= seam) ---------------------------
     def coordinate_descent(
         self,
-        adj: "CSRAdjacency",
-        x: np.ndarray,
-        members: np.ndarray,
+        xm: np.ndarray,
+        block: Any,
         tol: float,
         max_iterations: int = 100_000,
-        need_dx: bool = True,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], float, int, bool]:
+    ) -> Tuple[np.ndarray, float, int, bool]:
         """Drop-in for ``coordinate_descent_csr`` with a compiled loop."""
-        from repro.core.sparse_solvers import DENSE_SUPPORT_LIMIT
-
-        size = int(members.size)
-        if size == 1:
+        if xm.size == 1:
             # Singleton support: trivially a local KKT point.
-            return x, adj.matvec(x) if need_dx else None, 0.0, 0, True
+            return xm, 0.0, 0, True
 
-        xm = x[members]
-        if size <= DENSE_SUPPORT_LIMIT:
-            block = self.dense_block(adj, members)
-            dxm = block @ xm
+        dxm = block @ xm
+        if isinstance(block, np.ndarray):
             iterations, converged = self.cd_dense(
                 xm, dxm, block, float(tol), max_iterations
             )
         else:
-            local = adj.submatrix(members)
-            dxm = local @ xm
             iterations, converged = self.cd_csr(
                 xm,
                 dxm,
-                local.indptr,
-                local.indices,
-                local.data,
+                block.indptr,
+                block.indices,
+                block.data,
                 float(tol),
                 max_iterations,
             )
-        x[members] = xm
-        objective = float(xm @ dxm)
-        dx = adj.matvec(x) if need_dx else None
-        return x, dx, objective, int(iterations), bool(converged)
+        return xm, float(xm @ dxm), int(iterations), bool(converged)
 
     # -- greedy peel ---------------------------------------------------
     def peel(
@@ -756,6 +706,7 @@ class KernelSet:
         """
         if self.warmed:
             return
+        from repro.core.sparse_solvers import _Rows
         from repro.graph.graph import Graph
         from repro.graph.sparse import CSRAdjacency
 
@@ -765,7 +716,7 @@ class KernelSet:
         adj = CSRAdjacency.from_graph(triangle)
         members = np.arange(adj.n, dtype=np.int64)
         x = np.full(adj.n, 1.0 / adj.n, dtype=np.float64)
-        self.coordinate_descent(adj, x.copy(), members, tol=1e-6)
+        self.coordinate_descent(x.copy(), _Rows(adj, members).block(), tol=1e-6)
         local = adj.submatrix(members)
         xm = x.copy()
         self.cd_csr(

@@ -3,25 +3,35 @@
 Every kernel here is a NumPy re-expression of a reference implementation
 elsewhere in :mod:`repro.core` — same algorithm, same convergence rules,
 same tie-break conventions where determinism matters — operating on a
-shared :class:`~repro.graph.sparse.CSRAdjacency` instead of dict loops:
+shared :class:`~repro.graph.sparse.CSRAdjacency` instead of dict loops.
 
-* :func:`coordinate_descent_csr` — the 2-coordinate shrink stage.  The
-  gradient cache ``dx = Dx`` is a dense array maintained with O(deg)
-  row-slice updates, and the argmax/argmin pair selection is one
-  vectorised pass over the support.  The pair subproblem itself reuses
-  the analytic solver of :mod:`repro.core.coordinate_descent` so both
-  backends take *bitwise identical* moves given identical selections.
-* :func:`expansion_step_csr` — the SEA expansion: ``Z``, ``gamma``,
-  ``s``/``zeta``/``omega`` and the step are all array expressions; the
-  only sparse-matrix work is one induced block ``D[Z][:, Z]``.
-* :func:`seacd_csr` / :func:`refine_csr` — Algorithms 3 and 4 looping
-  over the two kernels above.
-* :func:`csr_vertex_solver` — SEACD + Refinement from one vertex over a
-  CSR matrix built **once** and shared by every initialisation;
+SEACD and Refinement are **support-local**: the iterate is a sorted
+array of row indices plus their values, and each round reads only the
+CSR rows of the vertices it touches, so one initialisation costs what
+the supports it explores cost, whatever n is (the paper's Sec. VI-D
+cost story).  Nothing per initialisation allocates or scans n entries.
+
+* :func:`coordinate_descent_csr` — the 2-coordinate shrink stage on the
+  induced block ``D[S][:, S]`` (dense up to
+  :data:`DENSE_SUPPORT_LIMIT`, local CSR past it): masked argmax/argmin
+  pair selection and one fused row-axpy per move.  The pair subproblem
+  reuses the analytic solver of :mod:`repro.core.coordinate_descent`,
+  so both backends take *bitwise identical* moves given identical
+  selections.
+* :class:`_Rows` — one round's state: the CSR rows of a vertex set ``U``
+  gathered by :meth:`CSRAdjacency.gather_rows`, with the induced block
+  built from them.  One gather per round serves the frontier gradient,
+  ``omega`` and the next shrink's block.
+* :func:`_expand` — the SEA expansion.  ``Dx`` vanishes outside
+  ``S ∪ N(S)``, so the frontier gradient is summed from the rows of
+  ``S`` in ascending row order (each entry has a full ``csr_matvec``'s
+  bits); ``omega`` comes from the rows of ``Z``.
+* :func:`seacd_csr` / :func:`refine_csr` — Algorithms 3 and 4 over the
+  two stages above; :func:`csr_vertex_solver` runs both from one vertex
+  over a CSR matrix built **once** and shared by every initialisation.
   :func:`repro.core.newsea.new_sea` walks the smart-initialisation plan
-  with it, and
-  :func:`repro.core.newsea.solve_all_initializations` runs it from
-  every vertex.
+  with it, and :func:`repro.core.newsea.solve_all_initializations` runs
+  it from every vertex.
 * :data:`SPARSE_KERNELS` — the three hot loops (coordinate descent,
   peeling, replicator dynamics) as the kernel set of the ``sparse``
   backend; :class:`repro.core.native_kernels.KernelSet` is its compiled
@@ -29,7 +39,8 @@ shared :class:`~repro.graph.sparse.CSRAdjacency` instead of dict loops:
 
 Parity: the backends agree on supports and agree on objectives up to
 floating-point summation order (dict-order sums vs. vectorised dot
-products), which the cross-backend test suite pins down.
+products), which the cross-backend test suite pins down.  Objectives
+are the local ``x_S^T D[S][:, S] x_S`` of the final support.
 """
 
 from __future__ import annotations
@@ -57,63 +68,48 @@ DENSE_SUPPORT_LIMIT = 4096
 
 #: The ``cd=`` seam: any drop-in for :func:`coordinate_descent_csr`
 #: (each CSR backend passes its kernel set's, so the native backend
-#: reuses every orchestration loop in this module unchanged).
-CoordinateDescentFn = Callable[
-    ..., Tuple[np.ndarray, Optional[np.ndarray], float, int, bool]
-]
+#: reuses every orchestration loop in this module unchanged).  It takes
+#: the support's values and the block :meth:`_Rows.block` built for them.
+CoordinateDescentFn = Callable[..., Tuple[np.ndarray, float, int, bool]]
 
 
 def coordinate_descent_csr(
-    adj: CSRAdjacency,
-    x: np.ndarray,
-    members: np.ndarray,
+    xm: np.ndarray,
+    block,
     tol: float,
     max_iterations: int = 100_000,
-    need_dx: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray], float, int, bool]:
-    """Drive *x* to a local KKT point on *members* (row indices).
+) -> Tuple[np.ndarray, float, int, bool]:
+    """Drive the iterate *xm* to a local KKT point of ``xm^T block xm``.
 
-    Mutates *x* in place and returns ``(x, dx, objective, iterations,
-    converged)``; ``dx`` is a fresh dense gradient cache ``Dx`` for the
-    final iterate, valid for **every** vertex (the expansion stage
-    reuses it without another product).  Callers that never look at the
-    full-width gradient (the refinement loop) pass ``need_dx=False`` to
-    skip that product; ``dx`` is then None.
+    *xm* holds the iterate's values on a support ``S``; it is mutated in
+    place and returned as ``(xm, objective, iterations, converged)``.
+    *block* is the induced block ``D[S][:, S]`` as :meth:`_Rows.block`
+    builds it — a dense array up to :data:`DENSE_SUPPORT_LIMIT` members,
+    a local CSR matrix past it; it is not read for a single vertex.
 
-    Strategy: the iteration is confined to *members*, so the kernel
-    gathers ``x`` into a compact local vector and densifies the induced
-    block ``D[S][:, S]`` once (|S| is a support — tiny next to n).  Each
-    pair move is then a handful of O(|S|) array operations: masked
+    Each pair move is a handful of O(|S|) array operations: masked
     argmax/argmin selection, a scalar ``D_S[i, j]`` lookup, and one
-    fused row-axpy on the local gradient.  Supports beyond
-    :data:`DENSE_SUPPORT_LIMIT` use O(deg) CSR row updates instead.
+    fused row-axpy on the local gradient (O(deg) CSR row updates on the
+    local CSR block).
     """
-    size = int(members.size)
-    if size == 1:
+    if xm.size == 1:
         # Singleton support: no self loop, zero gradient — trivially a
         # local KKT point (the reference backend finds no movable pair).
-        return x, adj.matvec(x) if need_dx else None, 0.0, 0, True
+        return xm, 0.0, 0, True
 
-    dense = size <= DENSE_SUPPORT_LIMIT
-    xm = x[members]
-    if dense:
-        block = adj.dense_block(members)
-        dxm = block @ xm
-    else:
-        local = adj.submatrix(members)
-        dxm = local @ xm
+    dense = isinstance(block, np.ndarray)
+    dxm = block @ xm
 
     iterations = 0
     converged = False
     while iterations < max_iterations:
         # With |S| > 1 and sum(x) == 1 a raisable (< 1) and a lowerable
         # (> 0) coordinate always exist; only the masks can be skipped.
-        xm_max = xm.max()
-        if xm_max < 1.0:
+        if np.maximum.reduce(xm) < 1.0:
             i = int(dxm.argmax())
         else:
-            i = int(np.argmax(np.where(xm < 1.0, dxm, -np.inf)))
-        j = int(np.argmin(np.where(xm > 0.0, dxm, np.inf)))
+            i = int(np.where(xm < 1.0, dxm, -np.inf).argmax())
+        j = int(np.where(xm > 0.0, dxm, np.inf).argmin())
         dx_i = float(dxm[i])
         dx_j = float(dxm[j])
         if 2.0 * (dx_i - dx_j) <= tol:
@@ -126,11 +122,11 @@ def coordinate_descent_csr(
         if dense:
             d_ij = float(block[i, j])
         else:
-            start, end = local.indptr[i], local.indptr[i + 1]
-            row_indices = local.indices[start:end]
+            start, end = block.indptr[i], block.indptr[i + 1]
+            row_indices = block.indices[start:end]
             pos = np.searchsorted(row_indices, j)
             d_ij = (
-                float(local.data[start + pos])
+                float(block.data[start + pos])
                 if pos < len(row_indices) and row_indices[pos] == j
                 else 0.0
             )
@@ -154,67 +150,178 @@ def coordinate_descent_csr(
             if delta_j != 0.0:
                 dxm += block[j] * delta_j
         else:
-            start, end = local.indptr[i], local.indptr[i + 1]
-            dxm[local.indices[start:end]] += local.data[start:end] * delta_i
+            start, end = block.indptr[i], block.indptr[i + 1]
+            dxm[block.indices[start:end]] += block.data[start:end] * delta_i
             if delta_j != 0.0:
-                start, end = local.indptr[j], local.indptr[j + 1]
-                dxm[local.indices[start:end]] += local.data[start:end] * delta_j
+                start, end = block.indptr[j], block.indptr[j + 1]
+                dxm[block.indices[start:end]] += block.data[start:end] * delta_j
         iterations += 1
 
-    x[members] = xm
-    objective = float(xm @ dxm)
-    dx = adj.matvec(x) if need_dx else None
-    return x, dx, objective, iterations, converged
+    return xm, float(xm @ dxm), iterations, converged
+
+
+# ----------------------------------------------------------------------
+# the support-local state of one round
+# ----------------------------------------------------------------------
+class _Rows:
+    """The CSR rows of a vertex set ``U`` (ascending row indices).
+
+    The iterate lives beside it as ``xu``: its values on ``U`` plus one
+    trailing 0 slot, which ``xu[local]`` reads for columns outside ``U``.
+    The support ``S`` is the positive part of ``xu``, so ``S ⊆ U``.
+    """
+
+    __slots__ = ("rows", "lptr", "owner", "cols", "vals", "local", "_block")
+
+    def __init__(self, adj: CSRAdjacency, rows: np.ndarray) -> None:
+        self.rows = rows
+        self.lptr, self.owner, self.cols, self.vals, self.local = (
+            adj.gather_rows(rows)
+        )
+        self._block = None
+
+    def block(self, sel: Optional[np.ndarray] = None):
+        """``D[S][:, S]`` for ``S = rows[sel]`` (all of ``U`` when *sel*
+        is None, memoised): dense up to :data:`DENSE_SUPPORT_LIMIT`
+        vertices, local CSR past it."""
+        if sel is None:
+            if self._block is not None:
+                return self._block
+            size = int(self.rows.size)
+            owner, local = self.owner, self.local
+            inside = local >= 0
+        else:
+            size = int(sel.size)
+            relabel = np.full(self.rows.size + 1, -1, dtype=np.int64)
+            relabel[sel] = np.arange(size)
+            owner, local = relabel[self.owner], relabel[self.local]
+            inside = (owner >= 0) & (local >= 0)
+        owner, local, vals = owner[inside], local[inside], self.vals[inside]
+        if size <= DENSE_SUPPORT_LIMIT:
+            block = np.zeros((size, size), dtype=np.float64)
+            block[owner, local] = vals
+        else:
+            from scipy.sparse import csr_matrix
+
+            indptr = np.zeros(size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=size), out=indptr[1:])
+            block = csr_matrix((vals, local, indptr), shape=(size, size))
+        if sel is None:
+            self._block = block
+        return block
+
+
+def _row_sums(rows: _Rows, xu: np.ndarray) -> np.ndarray:
+    """``(Dx)`` on every row of ``U`` for *xu* on ``U``: each row summed
+    in ascending column order from 0 — a ``csr_matvec``'s bits."""
+    return np.bincount(
+        rows.owner, weights=rows.vals * xu[rows.local], minlength=rows.rows.size
+    )
+
+
+def _support(
+    rows: _Rows, xu: np.ndarray
+) -> Tuple[Optional[np.ndarray], np.ndarray, object]:
+    """``(sel, xm, block)`` of the iterate's support.
+
+    *sel* is None when the support is all of ``U``; *xm* is then a view
+    of *xu*, else a copy.  *block* is None for a single vertex.
+    """
+    size = rows.rows.size
+    positive = xu[:size] > 0.0
+    if np.count_nonzero(positive) == size:
+        sel, xm = None, xu[:size]
+    else:
+        sel = np.flatnonzero(positive)
+        xm = xu[sel]
+    return sel, xm, rows.block(sel) if xm.size > 1 else None
+
+
+def _value(xm: np.ndarray, block) -> float:
+    """``f(x) = x_S^T D[S][:, S] x_S`` from the support's values and
+    block (as :func:`_support` returns them)."""
+    return 0.0 if block is None else float(xm @ (block @ xm))
+
+
+def _shrink(
+    xu: np.ndarray,
+    support: Tuple[Optional[np.ndarray], np.ndarray, object],
+    tol_scale: float,
+    max_cd_iterations: int,
+    cd: CoordinateDescentFn,
+) -> Tuple[float, int]:
+    """Coordinate descent on the *support* of *xu* (updated in place);
+    returns ``(objective, iterations)``."""
+    sel, xm, block = support
+    xm, objective, iterations, _ = cd(
+        xm, block, tol=tol_scale / xm.size, max_iterations=max_cd_iterations
+    )
+    if sel is not None:
+        xu[sel] = xm
+    return objective, iterations
 
 
 # ----------------------------------------------------------------------
 # expansion stage (Section V-B / Appendix A)
 # ----------------------------------------------------------------------
-def expansion_step_csr(
+def _expand(
     adj: CSRAdjacency,
-    x: np.ndarray,
-    dx: np.ndarray,
+    rows: _Rows,
+    xu: np.ndarray,
     objective: float,
     strict_tol: float = 1e-12,
-) -> Tuple[np.ndarray, np.ndarray, float, bool, int]:
-    """One SEA expansion from the KKT point *x* with gradient cache *dx*.
+) -> Optional[Tuple[_Rows, np.ndarray, int]]:
+    """One SEA expansion from the KKT point *xu* on *rows*.
 
     Uses the unconditional-ascent ``lambda_bar = f(x)`` rule (the SEACD
     choice; see :func:`repro.core.expansion.expansion_step`).  Returns
-    ``(new_x, new_dx, new_objective, expanded, z_size)``; when nothing
-    qualifies for ``Z`` the inputs are returned unchanged.
+    ``(new_rows, new_xu, z_size)``, or None when nothing qualifies for
+    ``Z``.
     """
     lambda_bar = objective
     threshold = lambda_bar + strict_tol * max(1.0, abs(lambda_bar))
 
-    outside = x <= 0.0
-    candidates = outside & (dx > threshold)
-    if threshold < 0.0:
-        # Degenerate signed case: dx == 0 then beats the threshold, but a
-        # vertex with no support neighbour is not in the frontier.  Mask
-        # non-frontier vertices explicitly (|D| restricted to support).
-        frontier = np.zeros(adj.n, dtype=bool)
-        for s in np.flatnonzero(x > 0.0):
-            neighbors, _ = adj.row(int(s))
-            frontier[neighbors] = True
-        candidates &= frontier
-    z = np.flatnonzero(candidates)
+    # The gradient off the support: the terms of each frontier column
+    # come from the rows of S in ascending row order, and bincount adds
+    # them in that order from 0 — a csr_matvec row sum, bit for bit.
+    owner_x = xu[rows.owner]
+    frontier = (owner_x > 0.0) & (xu[rows.local] <= 0.0)
+    cols = rows.cols[frontier]
+    terms = rows.vals[frontier] * owner_x[frontier]
+    order = cols.argsort(kind="stable")
+    cols = cols[order]
+    first = np.empty(cols.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    gradient = np.bincount(first.cumsum() - 1, weights=terms[order])
+    qualifies = gradient > threshold
+    z = cols[first][qualifies]
     if z.size == 0:
-        return x, dx, objective, False, 0
+        return None
 
-    gamma = dx[z] - lambda_bar
+    gamma = gradient[qualifies] - lambda_bar
     s_total = float(gamma.sum())
     zeta = float(gamma @ gamma)
+
+    # One gather of U' = S ∪ Z serves omega (the rows of Z), the next
+    # shrink's block and the next frontier.
+    size = rows.rows.size
+    positive = xu[:size] > 0.0
+    support = rows.rows[positive]
+    union = np.concatenate((support, z))
+    by_row = union.argsort()
+    new_rows = _Rows(adj, union[by_row])
+    place = np.empty_like(by_row)
+    place[by_row] = np.arange(by_row.size)
     if z.size == 1:
         # A single candidate: the zero diagonal makes omega exactly 0.
         omega = 0.0
     else:
-        # omega = gamma^T D[Z][:, Z] gamma via one full-width product on
-        # the scattered gamma (zeros kill every out-of-Z term) — much
-        # cheaper than materialising the induced block.
-        scattered = np.zeros_like(dx)
-        scattered[z] = gamma
-        omega = float(scattered @ adj.matvec(scattered))
+        # omega = gamma^T D[Z][:, Z] gamma: the rows of Z summed as a
+        # csr_matvec would, then one dot.
+        scattered = np.zeros(by_row.size + 1)
+        scattered[place[support.size:]] = gamma
+        omega = float(scattered[:-1] @ _row_sums(new_rows, scattered))
 
     a = lambda_bar * s_total * s_total + 2.0 * s_total * zeta - omega
     if a <= 0.0:
@@ -223,28 +330,47 @@ def expansion_step_csr(
         tau = min(1.0 / s_total, zeta / a)
 
     shrink_factor = 1.0 - tau * s_total
-    new_x = np.zeros_like(x)
-    if shrink_factor > PRUNE_EPS:
-        scaled = x * shrink_factor
-        keep = scaled > PRUNE_EPS
-        new_x[keep] = scaled[keep]
-    grown = tau * gamma
-    keep = grown > PRUNE_EPS
-    new_x[z[keep]] = grown[keep]
-
+    if shrink_factor <= PRUNE_EPS:
+        shrink_factor = 0.0  # the old support is pruned whole
+    values = np.concatenate((xu[:size][positive] * shrink_factor, tau * gamma))
+    values[values <= PRUNE_EPS] = 0.0
     # Renormalise away accumulated rounding (the step preserves the sum
     # analytically: (1 - tau s) + tau s = 1).
-    total = float(new_x.sum())
+    total = float(values.sum())
     if total > 0 and abs(total - 1.0) > 1e-12:
-        new_x /= total
-
-    new_dx = adj.matvec(new_x)
-    return new_x, new_dx, float(new_x @ new_dx), True, int(z.size)
+        values /= total
+    new_xu = np.zeros(by_row.size + 1)
+    new_xu[place] = values
+    return new_rows, new_xu, int(z.size)
 
 
 # ----------------------------------------------------------------------
 # Algorithm 3 — SEACD
 # ----------------------------------------------------------------------
+def _start(adj: CSRAdjacency, x0: Dict[Vertex, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending rows of the positive part of *x0* and ``xu`` on them."""
+    entries = []
+    for vertex, weight in x0.items():
+        if weight > 0.0:
+            position = adj.index.get(vertex)
+            if position is None:
+                raise VertexNotFound(vertex)
+            entries.append((position, float(weight)))
+    entries.sort()
+    rows = np.array([position for position, _ in entries], dtype=np.int64)
+    return rows, np.array([weight for _, weight in entries] + [0.0])
+
+
+def _embedding(adj: CSRAdjacency, rows: _Rows, xu: np.ndarray) -> Dict[Vertex, float]:
+    """``{vertex: weight > 0}`` of the iterate, in ascending row order."""
+    keep = np.flatnonzero(xu[: rows.rows.size] > 0.0)
+    vertices = adj.vertices
+    return {
+        vertices[i]: weight
+        for i, weight in zip(rows.rows[keep].tolist(), xu[keep].tolist())
+    }
+
+
 def seacd_csr(
     graph: Graph,
     x0: Dict[Vertex, float],
@@ -260,57 +386,55 @@ def seacd_csr(
     layer here is shared across backends.
     """
     adj = CSRAdjacency.from_graph(graph)
-    x = adj.embedding_vector({u: w for u, w in x0.items() if w > 0.0})
-    x_vec, objective, converged, stats = _seacd_vec(
-        adj, x, tol_scale, max_expansions, max_cd_iterations, cd=cd
+    rows, xu = _start(adj, x0)
+    if not rows.size:
+        raise ValueError("initial embedding has empty support")
+    gathered, xu, objective, converged, stats = _seacd_local(
+        adj, _Rows(adj, rows), xu, tol_scale, max_expansions, max_cd_iterations, cd
     )
     return SEACDResult(
-        x=adj.embedding_dict(x_vec),
+        x=_embedding(adj, gathered, xu),
         objective=objective,
         converged=converged,
         stats=stats,
     )
 
 
-def _seacd_vec(
+def _seacd_local(
     adj: CSRAdjacency,
-    x: np.ndarray,
+    rows: _Rows,
+    xu: np.ndarray,
     tol_scale: float,
     max_expansions: int,
     max_cd_iterations: int,
-    cd: CoordinateDescentFn = coordinate_descent_csr,
-) -> Tuple[np.ndarray, float, bool, SEACDStats]:
-    if not (x > 0.0).any():
-        raise ValueError("initial embedding has empty support")
+    cd: CoordinateDescentFn,
+) -> Tuple[_Rows, np.ndarray, float, bool, SEACDStats]:
+    """Shrink ⇄ expand from *xu* on *rows*; returns
+    ``(rows, xu, objective, converged, stats)``."""
     stats = SEACDStats()
-    converged = False
     objective = 0.0
-    while stats.expansions < max_expansions:
-        members = np.flatnonzero(x > 0.0)
-        x, dx, objective, iterations, _ = cd(
-            adj,
-            x,
-            members,
-            tol=tol_scale / len(members),
-            max_iterations=max_cd_iterations,
+    while True:
+        support = _support(rows, xu)
+        if stats.shrink_calls:
+            # An expansion led here; with lambda_bar = f(x) its step is
+            # an ascent direction, so a drop counts as an error.
+            expanded = _value(support[1], support[2])
+            if expanded < objective - 1e-12 * max(1.0, abs(objective)):
+                stats.expansion_errors += 1
+            objective = expanded
+            stats.expansions += 1
+        if stats.expansions >= max_expansions:
+            return rows, xu, objective, False, stats
+        objective, iterations = _shrink(
+            xu, support, tol_scale, max_cd_iterations, cd
         )
         stats.shrink_calls += 1
         stats.shrink_iterations += iterations
         stats.objective_trace.append(objective)
-
-        x_new, dx_new, objective_new, expanded, _ = expansion_step_csr(
-            adj, x, dx, objective
-        )
-        if not expanded:
-            converged = True
-            break
-        decrease_tol = 1e-12 * max(1.0, abs(objective))
-        if objective_new < objective - decrease_tol:
-            stats.expansion_errors += 1
-        x, dx, objective = x_new, dx_new, objective_new
-        stats.expansions += 1
-
-    return x, objective, converged, stats
+        step = _expand(adj, rows, xu, objective)
+        if step is None:
+            return rows, xu, objective, True, stats
+        rows, xu, _ = step
 
 
 # ----------------------------------------------------------------------
@@ -328,89 +452,77 @@ def refine_csr(
     Returns ``(x, objective, merges, initial_objective)``.
     """
     adj = CSRAdjacency.from_graph(graph)
-    x = adj.embedding_vector({u: w for u, w in x0.items() if w > 0.0})
-    if not (x > 0.0).any():
+    rows, xu = _start(adj, x0)
+    if not rows.size:
         raise ValueError("cannot refine an empty embedding")
-    x, objective, merges, initial = _refine_vec(
-        adj, x, tol_scale, max_cd_iterations, cd=cd
+    gathered = _Rows(adj, rows)
+    _, xm, block = _support(gathered, xu)
+    initial = _value(xm, block)
+    objective, merges = _refine_local(
+        gathered, xu, tol_scale, max_cd_iterations, cd
     )
-    return adj.embedding_dict(x), objective, merges, initial
+    return _embedding(adj, gathered, xu), objective, merges, initial
 
 
-def _find_non_adjacent_pair_vec(
-    adj: CSRAdjacency, support: np.ndarray
+def _non_adjacent_pair(
+    rows: _Rows, sel: Optional[np.ndarray], block
 ) -> Optional[Tuple[int, int]]:
-    """A support pair with no edge, or None if the support is a clique.
+    """Positions in ``U`` of a support pair with no edge, or None if the
+    support is a clique.
 
-    Scans lightest-degree vertices first, like the reference backend.
-    The adjacency test marks each row in a shared boolean buffer (reset
-    after use), which beats set/``isin`` lookups at every support size.
+    An edge count on the block settles the clique case; otherwise the
+    scan goes lightest-degree first, like the reference backend, marking
+    each row's neighbours in a boolean buffer over ``U``.
     """
-    by_degree = support[np.argsort(adj.unweighted_degrees()[support], kind="stable")]
-    is_neighbor = np.zeros(adj.n, dtype=bool)
-    for position, u in enumerate(by_degree):
+    if block is None:
+        return None
+    size = int(rows.rows.size if sel is None else sel.size)
+    edges = np.count_nonzero(block) if isinstance(block, np.ndarray) else block.nnz
+    if edges == size * (size - 1):
+        return None
+    support = np.arange(size) if sel is None else sel
+    lptr = rows.lptr
+    by_degree = support[np.argsort(np.diff(lptr)[support], kind="stable")]
+    is_neighbor = np.zeros(rows.rows.size + 1, dtype=bool)
+    for position, u in enumerate(by_degree.tolist()):
         rest = by_degree[position + 1 :]
-        if rest.size == 0:
-            break
-        neighbors, _ = adj.row(int(u))
+        neighbors = rows.local[lptr[u] : lptr[u + 1]]
         is_neighbor[neighbors] = True
         missing = rest[~is_neighbor[rest]]
         is_neighbor[neighbors] = False
         if missing.size:
-            return int(u), int(missing[0])
+            return u, int(missing[0])
     return None
 
 
-def _refine_vec(
-    adj: CSRAdjacency,
-    x: np.ndarray,
+def _refine_local(
+    rows: _Rows,
+    xu: np.ndarray,
     tol_scale: float,
     max_cd_iterations: int,
-    cd: CoordinateDescentFn = coordinate_descent_csr,
-) -> Tuple[np.ndarray, float, int, float]:
-    initial_objective = adj.objective(x)
+    cd: CoordinateDescentFn,
+) -> Tuple[float, int]:
+    """Merge non-adjacent support pairs of *xu* (updated in place) until
+    the support is a clique; returns ``(objective, merges)``."""
     merges = 0
     while True:
-        support = np.flatnonzero(x > 0.0)
-        pair = _find_non_adjacent_pair_vec(adj, support)
+        sel, xm, block = _support(rows, xu)
+        pair = _non_adjacent_pair(rows, sel, block)
         if pair is None:
-            break
+            return _value(xm, block), merges
         u, v = pair
-        if adj.row_dot(u, x) < adj.row_dot(v, x):
+        gradient = _row_sums(rows, xu)
+        if gradient[u] < gradient[v]:
             u, v = v, u
-        x[u] += x[v]
-        x[v] = 0.0
-        members = np.flatnonzero(x > 0.0)
-        x, _, _, _, _ = cd(
-            adj,
-            x,
-            members,
-            tol=tol_scale / len(members),
-            max_iterations=max_cd_iterations,
-            need_dx=False,
-        )
+        xu[u] += xu[v]
+        xu[v] = 0.0
+        _shrink(xu, _support(rows, xu), tol_scale, max_cd_iterations, cd)
         merges += 1
-    return x, adj.objective(x), merges, initial_objective
 
 
 # ----------------------------------------------------------------------
 # the per-vertex solver NewSEA walks its plan with
 # ----------------------------------------------------------------------
-def _solve_one_vec(
-    adj: CSRAdjacency,
-    vertex_index: int,
-    tol_scale: float,
-    max_expansions: int,
-    cd: CoordinateDescentFn = coordinate_descent_csr,
-) -> Tuple[np.ndarray, float, int]:
-    """SEACD + Refinement from the indicator of one vertex (by index)."""
-    x = np.zeros(adj.n, dtype=np.float64)
-    x[vertex_index] = 1.0
-    x, _, _, stats = _seacd_vec(adj, x, tol_scale, max_expansions, 100_000, cd=cd)
-    x, objective, _, _ = _refine_vec(adj, x, tol_scale, 100_000, cd=cd)
-    return x, objective, stats.expansion_errors
-
-
 def csr_vertex_solver(
     gd_plus: Graph,
     tol_scale: float = 1e-2,
@@ -423,7 +535,8 @@ def csr_vertex_solver(
     The CSR backends' ``vertex_solver``, which ``new_sea`` and
     ``solve_all_initializations`` call once per initialisation: the CSR
     matrix is frozen once (or taken from *adjacency*), not once per
-    initialisation.
+    initialisation, and each run — SEACD + Refinement from the
+    indicator of one vertex — touches only the rows it explores.
     """
     adj = CSRAdjacency.for_graph(gd_plus, adjacency, positive=True)
 
@@ -436,10 +549,17 @@ def csr_vertex_solver(
             # ignored in favour of the frozen adjacency; an unknown
             # vertex is the observable symptom of a mismatched graph.
             raise VertexNotFound(vertex)
-        x, objective, errors = _solve_one_vec(
-            adj, position, tol_scale, max_expansions, cd=cd
+        rows, xu, _, _, stats = _seacd_local(
+            adj,
+            _Rows(adj, np.array([position], dtype=np.int64)),
+            np.array([1.0, 0.0]),
+            tol_scale,
+            max_expansions,
+            100_000,
+            cd,
         )
-        return adj.embedding_dict(x), objective, errors
+        objective, _ = _refine_local(rows, xu, tol_scale, 100_000, cd)
+        return _embedding(adj, rows, xu), objective, stats.expansion_errors
 
     return solve
 

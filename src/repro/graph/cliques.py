@@ -15,7 +15,7 @@ ordering for the outer level, the standard trick for sparse graphs.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Set
 
 from repro.graph.cores import degeneracy_ordering
 from repro.graph.graph import Graph, Vertex
@@ -150,7 +150,14 @@ def remove_subsumed_cliques(
             unique.append(set(frozen))
     unique.sort(key=len, reverse=True)
     kept: List[Set[Vertex]] = []
+    # A clique can only sit inside a kept clique that holds each of its
+    # vertices, so the kept cliques through any one member are the only
+    # candidates, not every kept clique.
+    through: Dict[Vertex, List[Set[Vertex]]] = {}
     for clique in unique:
-        if not any(clique <= other for other in kept):
+        candidates = through.get(next(iter(clique)), []) if clique else kept
+        if not any(clique <= other for other in candidates):
             kept.append(clique)
+            for vertex in clique:
+                through.setdefault(vertex, []).append(clique)
     return kept

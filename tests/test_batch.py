@@ -227,8 +227,15 @@ class TestFingerprint:
         assert (again.matrix != adj.matrix).nnz == 0
         # Raw views must alias the unpickled matrix, not stale buffers.
         assert again.indptr is again.matrix.indptr
-        # The scratch buffer is derived state and must not ship.
-        assert again._local_map is None
+        # Derived state, such as the memoised initialisation plan, must
+        # not ship.
+        from repro.core.initialization import smart_initialization_plan
+
+        gd_plus = graph.positive_part()
+        positive = CSRAdjacency.from_graph(gd_plus)
+        smart_initialization_plan(gd_plus, backend="sparse", adjacency=positive)
+        assert positive._init_plan is not None
+        assert pickle.loads(pickle.dumps(positive))._init_plan is None
 
 
 # ----------------------------------------------------------------------

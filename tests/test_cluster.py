@@ -93,6 +93,7 @@ def _stop(proc):
     except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
         proc.kill()
         proc.wait(timeout=10)
+    proc.stdout.close()
 
 
 def _graph_texts():
@@ -453,6 +454,7 @@ class TestSessions:
                 "/v1/stream/sessions/w9-zzz/events",
                 {"events": [{"t": 0, "u": "a", "v": "b", "w": 1.0}]},
             )
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
 
@@ -533,6 +535,7 @@ class TestTeardown:
         finally:
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30)
+            proc.stdout.close()
         assert returncode == 0
         if os.path.isdir("/dev/shm"):
             assert glob.glob(f"/dev/shm/rp{proc.pid}_*") == []

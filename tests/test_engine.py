@@ -193,7 +193,7 @@ class TestShrinkExpandCapabilities:
         import numpy as np
 
         from repro.core.coordinate_descent import coordinate_descent
-        from repro.core.sparse_solvers import coordinate_descent_csr
+        from repro.core.sparse_solvers import _Rows, coordinate_descent_csr
         from repro.graph.sparse import CSRAdjacency
 
         start = {"a": 0.9, "b": 0.05, "c": 0.05}
@@ -202,8 +202,9 @@ class TestShrinkExpandCapabilities:
         )
         adj = CSRAdjacency.from_graph(plus)
         members = np.array(sorted(adj.index[v] for v in "abc"))
-        vector, _, objective, _, converged = coordinate_descent_csr(
-            adj, adj.embedding_vector(start), members, tol=1e-9
+        vector = adj.embedding_vector(start)
+        vector[members], objective, _, converged = coordinate_descent_csr(
+            vector[members], _Rows(adj, members).block(), tol=1e-9
         )
         assert converged == python.converged
         assert objective == pytest.approx(python.objective)

@@ -104,12 +104,14 @@ def shrink(cd, graph, x, subset, tol):
     import numpy as np
 
     from repro.core.coordinate_descent import CDResult
+    from repro.core.sparse_solvers import _Rows
     from repro.graph.sparse import CSRAdjacency
 
     adj = CSRAdjacency.from_graph(graph)
     members = np.array(sorted(adj.index[v] for v in subset), dtype=np.int64)
-    vector, _, objective, iterations, converged = cd(
-        adj, adj.embedding_vector(x), members, tol, need_dx=False
+    vector = adj.embedding_vector(x)
+    vector[members], objective, iterations, converged = cd(
+        vector[members], _Rows(adj, members).block(), tol
     )
     return CDResult(
         x=adj.embedding_dict(vector),
@@ -412,22 +414,23 @@ class TestSolverDifferential:
     def test_expand_matches_python_reference(self, graph):
         if graph.num_edges == 0:
             return
+        import numpy as np
+
         from repro.core.expansion import expansion_step
-        from repro.core.sparse_solvers import expansion_step_csr
+        from repro.core.sparse_solvers import _embedding, _expand, _Rows
         from repro.graph.sparse import CSRAdjacency
 
         start = max(graph.vertices(), key=lambda u: graph.degree(u))
         adj = CSRAdjacency.from_graph(graph)
-        vector = adj.embedding_vector({start: 1.0})
-        dx = adj.matvec(vector)
-        new_vector, _, objective_after, expanded, z_size = expansion_step_csr(
-            adj, vector, dx, float(vector @ dx)
-        )
+        rows = _Rows(adj, np.array([adj.index[start]], dtype=np.int64))
+        step = _expand(adj, rows, np.array([1.0, 0.0]), 0.0)
         python = expansion_step(graph, {start: 1.0})
-        assert expanded == python.expanded
+        assert (step is not None) == python.expanded
+        new_rows, new_xu, z_size = step
         assert z_size == python.z_size
-        assert set(adj.embedding_dict(new_vector)) == set(python.x)
-        assert objective_after == pytest.approx(
+        x = _embedding(adj, new_rows, new_xu)
+        assert set(x) == set(python.x)
+        assert _objective(graph, x) == pytest.approx(
             python.objective_after, rel=1e-9, abs=1e-12
         )
 

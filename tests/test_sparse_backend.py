@@ -92,16 +92,21 @@ class TestCSRAdjacency:
             adj.embedding_vector({"missing-vertex": 1.0})
 
     def test_dense_block_matches_submatrix(self):
+        from repro.core.sparse_solvers import _Rows
+
         gd = _random_gd(6)
         adj = CSRAdjacency.from_graph(gd)
         rows = np.array([1, 4, 9, 17])
-        assert np.allclose(
-            adj.dense_block(rows), adj.submatrix(rows).toarray()
+        gathered = _Rows(adj, rows)
+        assert np.array_equal(gathered.block(), adj.submatrix(rows).toarray())
+        # The block of a sub-support comes from the same gather.
+        sel = np.array([0, 2, 3])
+        assert np.array_equal(
+            gathered.block(sel), adj.submatrix(rows[sel]).toarray()
         )
-        # The scatter buffer must be cleanly reset between calls.
         other = np.array([0, 2, 9])
-        assert np.allclose(
-            adj.dense_block(other), adj.submatrix(other).toarray()
+        assert np.array_equal(
+            _Rows(adj, other).block(), adj.submatrix(other).toarray()
         )
 
 
