@@ -15,7 +15,10 @@ Gates:
   GIL-bound pure Python, so worker processes are the only way to use
   the cores); on smaller machines the floor derates — ratios on a
   shared core measure scheduling, not scaling — and p95 latency is
-  reported either way;
+  reported either way.  Both servers stay up for the whole test and
+  serve ``MEASUREMENTS`` alternating single/cluster loads of
+  ``LOAD_ROUNDS`` rounds each; the gate reads the median of the
+  per-pair ratios, and every ratio is printed;
 * **byte-identity** — probe solve envelopes through the router equal
   the single process's for the same requests (the router relays owner
   responses verbatim; both servers run under ``PYTHONHASHSEED=0``);
@@ -36,6 +39,7 @@ import os
 import random
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -52,11 +56,19 @@ N_GRAPHS = 6
 N_WORKERS = 4
 N_SOLVES = 24
 N_BATCHES = 6
-# One event push per session: pushes run concurrently from the client
-# pool, and a session's event times must not run backwards.
+# One event push per session per measurement: pushes run concurrently
+# from the client pool, and a session's event times must not run
+# backwards.
 N_SESSIONS = 8
 N_EVENT_PUSHES = 8
 CLIENT_THREADS = 8
+#: rounds of the solve and batch mix in one timed load.  One round (38
+#: requests, about 0.7 s per side on 2 vCPUs) timed mostly scheduling:
+#: the gate failed 3 of 7 runs there, reading 1.01-1.80x.
+LOAD_ROUNDS = 4
+#: alternating single/cluster loads; an odd count, so the gated median
+#: is one measured ratio
+MEASUREMENTS = 3
 
 _CPUS = os.cpu_count() or 1
 #: honest floors: process scale-out needs real cores to show up
@@ -160,65 +172,73 @@ def _upload_all(base, texts):
         assert len(body["fingerprint"]) == 64
 
 
-def _mixed_workload():
-    """The shuffled work list both servers serve — (kind, payload).
+def _mixed_workload(measurement):
+    """The shuffled work list of one timed load — (kind, payload).
 
-    Every solve and batch carries a unique ``tol_scale`` nudge so no
-    request is a result-cache hit: the measurement is solver
-    throughput, not cache lookups.  Batches deliberately mix graphs
-    owned by different cluster workers, forcing the non-owner to serve
-    via shared-memory attach.
+    Both servers serve the list of the same *measurement* once each.
+    Every solve and batch carries a ``tol_scale`` nudge unique across
+    rounds and measurements, so no request is a result-cache hit: the
+    measurement is solver throughput, not cache lookups.  Batches
+    deliberately mix graphs owned by different cluster workers, forcing
+    the non-owner to serve via shared-memory attach.
     """
+
+    def nudged(salt, offset):
+        return 1e-2 * (1.0 + 1e-6 * (1000 * salt + offset))
+
     work = []
-    for i in range(N_SOLVES):
-        work.append(
-            (
-                "solve",
-                {
-                    "graph": f"scale{i % N_GRAPHS}",
-                    "kind": "dcsad" if i % 2 else "dcsga",
-                    "backend": "python",
-                    "tol_scale": 1e-2 * (1.0 + 1e-6 * (i + 1)),
-                },
+    for round_index in range(LOAD_ROUNDS):
+        salt = measurement * LOAD_ROUNDS + round_index
+        for i in range(N_SOLVES):
+            work.append(
+                (
+                    "solve",
+                    {
+                        "graph": f"scale{i % N_GRAPHS}",
+                        "kind": "dcsad" if i % 2 else "dcsga",
+                        "backend": "python",
+                        "tol_scale": nudged(salt, i + 1),
+                    },
+                )
             )
-        )
-    # Pair graph j with j+1 in each batch so most batches straddle
-    # shard owners (asserted before the run).
-    for i in range(N_BATCHES):
-        a, b = i % N_GRAPHS, (i + 1) % N_GRAPHS
-        work.append(
-            (
-                "batch",
-                {
-                    "queries": [
-                        {
-                            "kind": "dcsga",
-                            "graph": f"scale{a}",
-                            "tol_scale": 1e-2 * (1.0 + 1e-6 * (100 + i)),
-                        },
-                        {
-                            "kind": "dcsad",
-                            "graph": f"scale{b}",
-                            "tol_scale": 1e-2 * (1.0 + 1e-6 * (200 + i)),
-                        },
-                        {
-                            "kind": "dcsga",
-                            "graph": f"scale{b}",
-                            "k": 2,
-                            "tol_scale": 1e-2 * (1.0 + 1e-6 * (300 + i)),
-                        },
-                    ]
-                },
+        # Pair graph j with j+1 in each batch so most batches straddle
+        # shard owners (asserted before the run).
+        for i in range(N_BATCHES):
+            a, b = i % N_GRAPHS, (i + 1) % N_GRAPHS
+            work.append(
+                (
+                    "batch",
+                    {
+                        "queries": [
+                            {
+                                "kind": "dcsga",
+                                "graph": f"scale{a}",
+                                "tol_scale": nudged(salt, 100 + i),
+                            },
+                            {
+                                "kind": "dcsad",
+                                "graph": f"scale{b}",
+                                "tol_scale": nudged(salt, 200 + i),
+                            },
+                            {
+                                "kind": "dcsga",
+                                "graph": f"scale{b}",
+                                "k": 2,
+                                "tol_scale": nudged(salt, 300 + i),
+                            },
+                        ]
+                    },
+                )
             )
-        )
     for i in range(N_EVENT_PUSHES):
+        start = (measurement * N_EVENT_PUSHES + i) * 4
         events = [
-            {"t": i * 4 + j, "u": f"v{j:02d}", "v": f"v{j + 1:02d}",
+            {"t": start + j, "u": f"v{j:02d}", "v": f"v{j + 1:02d}",
              "w": 1.0 + (i + j) % 3}
             for j in range(4)
         ]
         work.append(("events", {"session_index": i, "events": events}))
-    random.Random(0).shuffle(work)
+    random.Random(measurement).shuffle(work)
     return work
 
 
@@ -305,7 +325,6 @@ def _p95(latencies):
 
 def test_service_scale_out(benchmark, tmp_path):
     texts = _graph_texts(tmp_path)
-    work = _mixed_workload()
 
     # The batches must actually straddle shard owners for the
     # shared-attach assertion to mean anything.
@@ -313,55 +332,63 @@ def test_service_scale_out(benchmark, tmp_path):
               for i in range(N_GRAPHS)}
     assert len(set(owners.values())) > 1, owners
 
-    # ---- single process baseline ------------------------------------
-    proc, base = _start_server(1)
+    # Both topologies stay up, so their loads can alternate: host drift
+    # then lands on both sides of every measured ratio.
+    single_proc, single_base = _start_server(1)
+    cluster_proc, cluster_base = _start_server(N_WORKERS)
+    router_pid = cluster_proc.pid
     try:
-        _upload_all(base, texts)
-        single_probe = _probe_solves(base)
-        sessions = _create_sessions(base)
-        single_wall, single_lat, _ = _run_load(base, work, sessions)
-        single_metrics = _get(base, "/metrics")
-    finally:
-        _stop_server(proc)
-
-    # ---- 4-worker cluster -------------------------------------------
-    proc, base = _start_server(N_WORKERS)
-    router_pid = proc.pid
-    try:
-        _upload_all(base, texts)
+        _upload_all(single_base, texts)
+        _upload_all(cluster_base, texts)
         # Let every export announcement land before mixed traffic.
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            health = _get(base, "/healthz")
+            health = _get(cluster_base, "/healthz")
             if health["cluster"]["segments_announced"] >= N_GRAPHS:
                 break
             time.sleep(0.1)
-        cluster_probe = _probe_solves(base)
-        sessions = _create_sessions(base)
+        single_probe = _probe_solves(single_base)
+        cluster_probe = _probe_solves(cluster_base)
+        single_sessions = _create_sessions(single_base)
+        cluster_sessions = _create_sessions(cluster_base)
 
-        def cluster_pass():
-            return _run_load(base, work, sessions)
+        def alternate():
+            loads = []
+            for measurement in range(MEASUREMENTS):
+                work = _mixed_workload(measurement)
+                single = _run_load(single_base, work, single_sessions)
+                cluster = _run_load(cluster_base, work, cluster_sessions)
+                loads.append((len(work), single, cluster))
+            return loads
 
-        cluster_wall, cluster_lat, _ = benchmark.pedantic(
-            cluster_pass, rounds=1, iterations=1
-        )
-        cluster_metrics = _get(base, "/metrics")
-        health = _get(base, "/healthz")
+        loads = benchmark.pedantic(alternate, rounds=1, iterations=1)
+        single_metrics = _get(single_base, "/metrics")
+        cluster_metrics = _get(cluster_base, "/metrics")
+        health = _get(cluster_base, "/healthz")
     finally:
-        _stop_server(proc)
+        _stop_server(cluster_proc)
+        _stop_server(single_proc)
 
-    total = len(work)
+    total = loads[0][0]
+    ratios = [single[0] / cluster[0] for _, single, cluster in loads]
+    speedup = statistics.median(ratios)
+    single_wall = statistics.median(single[0] for _, single, _ in loads)
+    cluster_wall = statistics.median(cluster[0] for _, _, cluster in loads)
+    single_lat = sorted(t for _, single, _ in loads for t in single[1])
+    cluster_lat = sorted(t for _, _, cluster in loads for t in cluster[1])
     single_rps = total / single_wall
     cluster_rps = total / cluster_wall
-    speedup = cluster_rps / single_rps
     workers = cluster_metrics["workers"]
     cold_builds = sum(w["warm"]["cold_builds"] for w in workers)
     shared_attaches = sum(w["warm"]["shared_attaches"] for w in workers)
     leftovers = glob.glob(f"/dev/shm/rp{router_pid}_*")
+    ratio_text = " ".join(f"{ratio:.2f}x" for ratio in ratios)
+    print(f"scale-out ratios (cluster/single req/s): {ratio_text}")
 
     table = Table(
         title=(
-            f"Concurrent mixed traffic ({total} requests, "
+            f"Concurrent mixed traffic ({total} requests per load, "
+            f"median of {MEASUREMENTS} alternating loads, "
             f"{CLIENT_THREADS} client threads, {_CPUS} CPUs)"
         ),
         columns=[
@@ -399,8 +426,8 @@ def test_service_scale_out(benchmark, tmp_path):
     emit(
         "service_scale",
         table.render()
-        + f"\nscale-out speedup: {speedup:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x at {_CPUS} CPUs)"
+        + f"\nscale-out speedup: {speedup:.2f}x, the median of "
+        f"{ratio_text} (floor {SPEEDUP_FLOOR}x at {_CPUS} CPUs)"
         + f"\ncold builds across workers: {cold_builds} "
         f"(graphs uploaded: {N_GRAPHS}), "
         f"shared-memory attaches: {shared_attaches}"
@@ -409,6 +436,7 @@ def test_service_scale_out(benchmark, tmp_path):
         data={
             "cpus": _CPUS,
             "requests": total,
+            "measurements": MEASUREMENTS,
             "client_threads": CLIENT_THREADS,
             "single_wall_seconds": single_wall,
             "cluster_wall_seconds": cluster_wall,
@@ -417,6 +445,7 @@ def test_service_scale_out(benchmark, tmp_path):
             "single_p95_seconds": _p95(single_lat),
             "cluster_p95_seconds": _p95(cluster_lat),
             "speedup": speedup,
+            "ratios": ratios,
             "speedup_floor": SPEEDUP_FLOOR,
             "cold_builds": cold_builds,
             "shared_attaches": shared_attaches,
@@ -444,9 +473,9 @@ def test_service_scale_out(benchmark, tmp_path):
 
     # Gate: sustained throughput scale-out (derated below 4 CPUs).
     assert gates["speedup_floor"], (
-        f"{N_WORKERS}-worker cluster sustained {speedup:.2f}x the "
-        f"single process on concurrent mixed traffic — below the "
-        f"{SPEEDUP_FLOOR}x floor for {_CPUS} CPUs "
+        f"{N_WORKERS}-worker cluster sustained a median {speedup:.2f}x "
+        f"({ratio_text}) the single process on concurrent mixed traffic "
+        f"— below the {SPEEDUP_FLOOR}x floor for {_CPUS} CPUs "
         f"(single {single_rps:.1f} req/s, cluster {cluster_rps:.1f} "
         f"req/s, cluster p95 {1000 * _p95(cluster_lat):.0f} ms)"
     )

@@ -15,9 +15,10 @@ fingerprinted exactly once, however many queries consume it.  The
 fingerprint then addresses everything downstream: the result cache and
 the worker-side shared graph/CSR tables.
 
-Prep execution happens in the *submitting* process (it is pure-Python
-graph assembly — parallelising it across workers would just pickle the
-raw inputs around); the solves are what the executor fans out.
+Prep execution happens in the *submitting* process (it is input
+parsing and difference assembly — parallelising it across workers would
+just pickle the raw inputs around); the solves are what the executor
+fans out.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.batch.queries import BatchQuery
-from repro.core.difference import assemble_difference, cap_weights
+from repro.core.difference import cap_weights
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import InputMismatchError
 from repro.graph.graph import Graph
@@ -196,7 +197,7 @@ def _build_payload(
         if query.cap is not None:
             gd = cap_weights(gd, query.cap)
         return gd
-    return assemble_difference(
+    return PreparedGraph.from_pair(
         g1,
         g2,
         alpha=query.alpha,

@@ -58,10 +58,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.reporting import format_embedding, format_ratio
 from repro.analysis.stats import NamedDifferenceGraph, dataset_stats_table
-from repro.core.difference import assemble_difference
 from repro.engine.envelope import SolveRequest, SolveResult, solve
 from repro.engine.prepared import PreparedGraph
-from repro.graph.graph import Graph
 from repro.graph.io import read_pair
 
 
@@ -344,11 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_difference(args: argparse.Namespace) -> Graph:
+def _load_difference(args: argparse.Namespace) -> PreparedGraph:
     g1, g2 = read_pair(args.g1, args.g2)
     if args.discrete and args.alpha != 1.0:
         raise SystemExit("--discrete and --alpha are mutually exclusive")
-    return assemble_difference(
+    return PreparedGraph.from_pair(
         g1,
         g2,
         alpha=args.alpha,
@@ -359,7 +357,7 @@ def _load_difference(args: argparse.Namespace) -> Graph:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    gd = _load_difference(args)
+    gd = _load_difference(args).gd
     entry = NamedDifferenceGraph(
         data=args.g2,
         setting="Discrete" if args.discrete else "Weighted",
@@ -377,7 +375,7 @@ def _solve_envelope(args: argparse.Namespace, measure: str) -> SolveResult:
         UnknownBackendError,
     )
 
-    prepared = PreparedGraph(_load_difference(args))
+    prepared = _load_difference(args)
     if args.json:
         # The envelope's provenance carries the input identity when it
         # is already known; for JSON consumers it is worth computing.

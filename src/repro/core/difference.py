@@ -15,15 +15,43 @@ This module also implements the paper's input transformations:
   weights above a cap.
 * **Sign flip** (Emerging <-> Disappearing GD types): mining
   ``G1 - G2`` instead of ``G2 - G1`` is just negating ``D``.
+
+Two implementations of one pipeline live here:
+
+* **The array pipeline** — :func:`assemble_difference`, which every
+  caller that turns a ``(G1, G2)`` pair into a mined ``GD`` reaches
+  through :meth:`repro.engine.prepared.PreparedGraph.from_pair`.  It
+  reads G1 and G2 once into arrays over their union's repr order and
+  applies the difference, Discrete levels, flip and cap elementwise,
+  returning ``GD``'s CSR (NumPy only; SciPy is not required).
+* **The dict reference** — :func:`difference_graph`,
+  :func:`discrete_difference_graph`, :func:`flip`, :func:`cap_weights`
+  and :func:`positive_part` on :class:`~repro.graph.graph.Graph`.  The
+  dataset builders use them, and the tests hold the array pipeline to
+  them bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InputMismatchError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Vertex
+from repro.graph.sparse import CSRAdjacency, entries_to_csr, graph_entries
+
+
+def _check_same_vertices(g1: Graph, g2: Graph) -> None:
+    """Refuse a pair whose vertex sets differ (the problem statement)."""
+    v1, v2 = g1.vertex_set(), g2.vertex_set()
+    if v1 != v2:
+        raise InputMismatchError(
+            "G1 and G2 must share the same vertex set "
+            f"({len(v1 - v2)} vertices only in G1, {len(v2 - v1)} only "
+            "in G2); pass require_same_vertices=False to take the union"
+        )
 
 
 def difference_graph(
@@ -42,17 +70,10 @@ def difference_graph(
     problem statement), the two vertex sets must agree exactly; otherwise
     the union is used with missing vertices treated as isolated.
     """
-    v1, v2 = g1.vertex_set(), g2.vertex_set()
-    if require_same_vertices and v1 != v2:
-        only_1 = len(v1 - v2)
-        only_2 = len(v2 - v1)
-        raise InputMismatchError(
-            "G1 and G2 must share the same vertex set "
-            f"({only_1} vertices only in G1, {only_2} only in G2); "
-            "pass require_same_vertices=False to take the union"
-        )
+    if require_same_vertices:
+        _check_same_vertices(g1, g2)
     result = Graph()
-    result.add_vertices(v1 | v2)
+    result.add_vertices(g1.vertex_set() | g2.vertex_set())
     # Start from A2, then subtract alpha * A1; increment_edge drops exact
     # cancellations automatically.
     for u, v, weight in g2.edges():
@@ -75,35 +96,86 @@ def assemble_difference(
     discrete: bool = False,
     cap: Optional[float] = None,
     require_same_vertices: bool = False,
-) -> Graph:
-    """The full input pipeline: ``(G1, G2)`` -> the mined ``GD``.
+) -> CSRAdjacency:
+    """The full input pipeline: ``(G1, G2)`` -> the mined ``GD``'s CSR.
 
     Composes the paper's transformations in their canonical order —
     difference (weighted ``alpha``-generalised, or the DBLP Discrete
     quantisation), then the Emerging/Disappearing *flip*, then heavy-edge
-    *capping*.  This is the one place the ``repro`` CLI and the batch
-    service agree on what a query's difference parameters mean, so a
-    batch record and a CLI invocation with the same flags mine the same
-    graph.  *discrete* is mutually exclusive with a non-default *alpha*
-    (quantisation fixes the scale that ``alpha`` would re-weight).
+    *capping*.  This is the one place the ``repro`` CLI, the batch
+    service and the query service agree on what a query's difference
+    parameters mean (all of them through
+    :meth:`~repro.engine.prepared.PreparedGraph.from_pair`).  *discrete*
+    is mutually exclusive with a non-default *alpha* (quantisation fixes
+    the scale that ``alpha`` would re-weight).
+
+    Arrays all the way: G1 and G2 are read once over the union's repr
+    order (:func:`~repro.graph.sparse.graph_entries`); one stable sort
+    puts each G1 entry right after the G2 entry of the same pair, so
+    ``np.add.reduceat`` adds ``w2 + (-alpha * w1)`` in the dict path's
+    order; exact zeros drop after the difference and after the Discrete
+    levels.  The arrays equal
+    :meth:`~repro.graph.sparse.CSRAdjacency.from_graph` of the dict
+    reference (:func:`difference_graph` or
+    :func:`discrete_difference_graph`, then :func:`flip`, then
+    :func:`cap_weights`) bit for bit.  A non-finite weight is refused
+    with ``ValueError``, as :meth:`Graph.add_edge` refuses it.
     """
+    if discrete and alpha != 1.0:
+        raise InputMismatchError(
+            "discrete quantisation and alpha are mutually exclusive"
+        )
+    if require_same_vertices:
+        _check_same_vertices(g1, g2)
+    union = dict.fromkeys(g1.vertices())
+    union.update(dict.fromkeys(g2.vertices()))
+    vertices = sorted(union, key=repr)
+    index = {v: i for i, v in enumerate(vertices)}
+    keys2, weights2 = graph_entries(g2, index)
+    keys1, weights1 = graph_entries(g1, index)
+    keys = np.concatenate((keys2, keys1))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Overflow is refused below, with the dict path's error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.concatenate((weights2, -alpha * weights1))[order]
+        if keys.size:
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            keys, weights = keys[first], np.add.reduceat(weights, first)
+    _refuse_non_finite(vertices, keys, weights)
+    keys, weights = _nonzero(keys, weights)
     if discrete:
-        if alpha != 1.0:
-            raise InputMismatchError(
-                "discrete quantisation and alpha are mutually exclusive"
-            )
-        gd = discrete_difference_graph(
-            g1, g2, DBLP_DISCRETE, require_same_vertices=require_same_vertices
-        )
-    else:
-        gd = difference_graph(
-            g1, g2, alpha=alpha, require_same_vertices=require_same_vertices
-        )
+        keys, weights = _nonzero(keys, DBLP_DISCRETE.map_array(weights))
     if flipped:
-        gd = flip(gd)
+        weights = -weights
     if cap is not None:
-        gd = cap_weights(gd, cap)
-    return gd
+        if cap <= 0:
+            raise ValueError("cap must be positive")
+        weights = np.maximum(-cap, np.minimum(cap, weights))
+        _refuse_non_finite(vertices, keys, weights)
+    return CSRAdjacency(vertices, *entries_to_csr(len(vertices), keys, weights))
+
+
+def _nonzero(
+    keys: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drop the exact zeros: ``ED = {(u, v) | D(u, v) != 0}``."""
+    kept = weights != 0
+    return keys[kept], weights[kept]
+
+
+def _refuse_non_finite(
+    vertices: List[Vertex], keys: np.ndarray, weights: np.ndarray
+) -> None:
+    """Raise :meth:`Graph.add_edge`'s error for the first non-finite
+    weight of an assembled difference."""
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        row, col = divmod(int(keys[bad[0]]), len(vertices))
+        raise ValueError(
+            f"edge ({vertices[row]!r}, {vertices[col]!r}) has non-finite "
+            f"weight {float(weights[bad[0]])!r}"
+        )
 
 
 def flip(gd: Graph) -> Graph:
@@ -143,6 +215,15 @@ class DiscreteLevels:
             if difference >= threshold:
                 return value
         return self.fallback
+
+    def map_array(self, differences: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` over a float array, elementwise."""
+        levels = np.full(differences.shape, float(self.fallback))
+        # Last write wins, so writing in reverse leaves each entry the
+        # value of the first threshold it meets.
+        for threshold, value in reversed(list(zip(self.thresholds, self.values))):
+            levels[differences >= threshold] = value
+        return levels
 
 
 #: The paper's DBLP Discrete setting (Section VI-B):

@@ -1,20 +1,31 @@
 """PreparedGraph — the build-once query context for a difference graph.
 
 Every DCS query over one difference graph ``GD`` needs some mix of the
-same three derived artefacts:
+same derived artefacts:
 
 * the **positive part** ``GD+`` (DCSGA always; DCSAD's third peel
   candidate);
-* frozen **CSR adjacencies** of ``GD`` and ``GD+`` (any CSR-capable
-  backend);
+* **CSR adjacencies** of ``GD`` and ``GD+`` (any CSR-capable backend);
+* the dict-of-dicts **graphs** ``GD`` and ``GD+`` (the python backend,
+  and the dict reads the sparse solvers still make);
 * the **content fingerprint** (cache keys, worker tables, provenance).
 
-Before this class, each delivery layer rebuilt its own subset — the
-batch planner deduplicated per-query but a DCSAD+DCSGA pair on the same
-graph still built ``GD+`` twice, and the CLI never shared anything.
-:class:`PreparedGraph` owns all three, builds each lazily exactly once,
-and counts the builds (``plus_builds`` / ``csr_builds``) so tests can
-assert the sharing actually happens.
+A preparation starts from one canonical form and derives the rest:
+
+* **Array-first** (:meth:`from_pair`, and shared-memory attaches): the
+  canonical form is ``GD``'s CSR, assembled straight from the
+  ``(G1, G2)`` arrays.  ``GD+``'s CSR is its
+  :meth:`~repro.graph.sparse.CSRAdjacency.positive_part`, the
+  fingerprint hashes the arrays, and the dict ``GD``/``GD+`` are built
+  from the CSRs, in repr order, only when something reads them.
+* **Dict-first** (``PreparedGraph(gd)``, e.g. dataset references): the
+  canonical form is the dict ``GD``; ``GD+`` is its dict positive
+  part, and each CSR is a freeze of the matching dict graph.
+
+Either way :class:`PreparedGraph` builds each artefact lazily exactly
+once, behind its own accessor, and counts the builds (``plus_builds`` /
+``csr_builds`` / ``fingerprint_builds``) so tests can assert the
+sharing actually happens.
 
 Thread the same instance through every query on the graph::
 
@@ -26,7 +37,9 @@ Thread the same instance through every query on the graph::
 CSR accessors are SciPy-gated the soft way: :meth:`csr` / :meth:`csr_plus`
 return ``None`` when SciPy is missing (callers fall back to the python
 backend's structures); :meth:`require_csr` raises the standard
-:class:`~repro.exceptions.BackendUnavailableError` instead.
+:class:`~repro.exceptions.BackendUnavailableError` instead.  An
+array-first preparation needs NumPy only: its graphs and fingerprint
+come from the arrays with or without SciPy.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ class PreparedGraph:
         "_gd_plus",
         "_csr",
         "_csr_plus",
+        "_arrays_first",
         "_fingerprint",
         "_shared",
         "plus_builds",
@@ -58,14 +72,27 @@ class PreparedGraph:
 
     def __init__(
         self,
-        gd: Graph,
+        gd: Optional[Graph] = None,
         fingerprint: Optional[str] = None,
         gd_plus: Optional[Graph] = None,
+        csr: Optional["CSRAdjacency"] = None,
     ) -> None:
-        self._gd: Optional[Graph] = gd
+        """Prepare the dict graph *gd*, or (array-first) the CSR *csr*.
+
+        Exactly one of the two is the canonical form; *fingerprint*
+        and *gd_plus*, when given, are trusted to match it.
+        """
+        if (gd is None) == (csr is None):
+            raise InputMismatchError(
+                "a preparation starts from exactly one of a graph and a CSR"
+            )
+        self._gd = gd
         self._gd_plus = gd_plus
-        self._csr: Optional["CSRAdjacency"] = None
+        self._csr = csr
         self._csr_plus: Optional["CSRAdjacency"] = None
+        #: the CSR is the canonical form: GD+ derives from its arrays,
+        #: and the dict graphs are built from the CSRs on first read
+        self._arrays_first = csr is not None
         self._fingerprint = fingerprint
         #: the shared-memory segment backing the CSR artefacts, when the
         #: preparation was exported to / attached from the zero-copy
@@ -91,11 +118,12 @@ class PreparedGraph:
         discrete: bool = False,
         cap: Optional[float] = None,
     ) -> "PreparedGraph":
-        """Assemble the difference graph from ``(G1, G2)`` and wrap it."""
+        """Assemble ``GD``'s CSR from ``(G1, G2)``: an array-first
+        preparation (see the module docstring).  Builds no dict graph."""
         from repro.core.difference import assemble_difference
 
         return cls(
-            assemble_difference(
+            csr=assemble_difference(
                 g1, g2, alpha=alpha, flipped=flipped,
                 discrete=discrete, cap=cap,
             )
@@ -106,23 +134,18 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     @property
     def gd(self) -> Graph:
-        """The difference graph itself (never copied).
+        """The difference graph itself (one object per preparation).
 
-        Shared-memory preparations start without the dict-of-dicts form
-        and reconstruct it from the zero-copy CSR on first access — the
-        CSR stores weights bit-exact, so the reconstruction fingerprints
-        identically to the graph the owner originally froze.
+        An array-first preparation builds it from ``GD``'s CSR on first
+        access (vertices and neighbours in repr order); the CSR stores
+        weights bit-exact, so it fingerprints as the arrays do.
         """
         if self._gd is None:
-            if self._csr is None:
-                raise InputMismatchError(
-                    "preparation has neither a graph nor a CSR to "
-                    "reconstruct it from"
-                )
+            assert self._csr is not None  # the constructor holds one
             from repro.engine.shm import graph_from_csr
             from repro.obs.trace import current_tracer
 
-            with current_tracer().span("prepare.gd_from_shared"):
+            with current_tracer().span("prepare.gd"):
                 self._gd = graph_from_csr(self._csr)
         return self._gd
 
@@ -130,22 +153,35 @@ class PreparedGraph:
     def gd_plus(self) -> Graph:
         """``GD+`` — built on first access, shared forever after."""
         if self._gd_plus is None:
-            if self._gd is None and self._csr_plus is not None:
-                # Shared-memory preparation: GD+ reconstructs straight
-                # from its own CSR view, skipping the GD round-trip.
-                from repro.engine.shm import graph_from_csr
-                from repro.obs.trace import current_tracer
-
-                with current_tracer().span("prepare.gd_from_shared"):
-                    self._gd_plus = graph_from_csr(self._csr_plus)
-                self.plus_builds += 1
-                return self._gd_plus
             from repro.obs.trace import current_tracer
 
-            with current_tracer().span("prepare.gd_plus"):
-                self._gd_plus = self.gd.positive_part()
+            if self._arrays_first:
+                from repro.engine.shm import graph_from_csr
+
+                plus = self._plus_csr()
+                with current_tracer().span("prepare.gd_plus"):
+                    self._gd_plus = graph_from_csr(plus)
+            else:
+                with current_tracer().span("prepare.gd_plus"):
+                    self._gd_plus = self.gd.positive_part()
             self.plus_builds += 1
         return self._gd_plus
+
+    @property
+    def num_vertices(self) -> int:
+        """``n`` of ``GD``, read without building any artefact."""
+        if self._csr is not None:
+            return self._csr.n
+        assert self._gd is not None
+        return self._gd.num_vertices
+
+    @property
+    def num_edges(self) -> int:
+        """``m`` of ``GD``, read without building any artefact."""
+        if self._csr is not None:
+            return self._csr.num_edges
+        assert self._gd is not None
+        return self._gd.num_edges
 
     @property
     def cached_fingerprint(self) -> Optional[str]:
@@ -158,21 +194,34 @@ class PreparedGraph:
 
     @property
     def fingerprint(self) -> str:
-        """Content hash of ``GD`` (stable across processes/sessions)."""
+        """Content hash of ``GD`` (stable across processes/sessions).
+
+        Hashes ``GD``'s CSR when one is held, and the dict graph
+        otherwise; both give
+        :func:`~repro.graph.sparse.graph_fingerprint`'s digest.
+        """
         if self._fingerprint is None:
-            from repro.graph.sparse import graph_fingerprint
+            from repro.graph.sparse import csr_fingerprint, graph_fingerprint
             from repro.obs.trace import current_tracer
 
             with current_tracer().span("prepare.fingerprint"):
-                self._fingerprint = graph_fingerprint(self.gd)
+                csr = self._csr
+                if csr is not None:
+                    self._fingerprint = csr_fingerprint(
+                        csr.vertices, csr.indptr, csr.indices, csr.data
+                    )
+                else:
+                    self._fingerprint = graph_fingerprint(self.gd)
             self.fingerprint_builds += 1
         return self._fingerprint
 
     def csr(self) -> Optional["CSRAdjacency"]:
-        """Frozen CSR of ``GD``, or None when SciPy is unavailable."""
+        """CSR of ``GD``, or None when SciPy is unavailable."""
         from repro.graph.sparse import CSRAdjacency, scipy_available
 
-        if self._csr is None and scipy_available():
+        if not scipy_available():
+            return None
+        if self._csr is None:
             from repro.obs.trace import current_tracer
 
             with current_tracer().span("prepare.csr"):
@@ -181,15 +230,28 @@ class PreparedGraph:
         return self._csr
 
     def csr_plus(self) -> Optional["CSRAdjacency"]:
-        """Frozen CSR of ``GD+``, or None when SciPy is unavailable."""
-        from repro.graph.sparse import CSRAdjacency, scipy_available
+        """CSR of ``GD+``, or None when SciPy is unavailable."""
+        from repro.graph.sparse import scipy_available
 
-        if self._csr_plus is None and scipy_available():
-            gd_plus = self.gd_plus
+        if not scipy_available():
+            return None
+        return self._plus_csr()
+
+    def _plus_csr(self) -> "CSRAdjacency":
+        """``GD+``'s CSR: a mask over ``GD``'s arrays when array-first
+        (NumPy only), else a freeze of the dict ``GD+``."""
+        if self._csr_plus is None:
+            from repro.graph.sparse import CSRAdjacency
             from repro.obs.trace import current_tracer
 
-            with current_tracer().span("prepare.csr"):
-                self._csr_plus = CSRAdjacency.from_graph(gd_plus)
+            if self._arrays_first:
+                assert self._csr is not None
+                with current_tracer().span("prepare.csr"):
+                    self._csr_plus = self._csr.positive_part()
+            else:
+                gd_plus = self.gd_plus
+                with current_tracer().span("prepare.csr"):
+                    self._csr_plus = CSRAdjacency.from_graph(gd_plus)
             self.csr_builds += 1
         return self._csr_plus
 
@@ -261,13 +323,26 @@ class PreparedGraph:
         return segment.close()
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        """Pickle as the constructor arguments.
+        """Pickle as the constructor arguments: the canonical form.
 
-        The CSR caches are derived state the receiver rebuilds on
-        demand, so a shared-memory preparation arrives as a private
-        copy (its ``GD`` rebuilt from the shared CSR first).
+        Everything else is derived state the receiver rebuilds on
+        demand.  An array-first preparation travels as ``GD``'s arrays,
+        so a shared-memory preparation arrives as a private copy.
         """
-        return (PreparedGraph, (self.gd, self._fingerprint, self._gd_plus))
+        if self._arrays_first:
+            return (PreparedGraph, (None, self._fingerprint, None, self._csr))
+        return (PreparedGraph, (self._gd, self._fingerprint, self._gd_plus))
+
+    def unbuilt(self) -> "PreparedGraph":
+        """A new preparation of the same graph: the canonical form and
+        the fingerprint, with nothing derived built yet.
+
+        The query service keeps one per upload, to re-prepare it after
+        an eviction without keeping any dict graph resident.
+        """
+        if self._arrays_first:
+            return PreparedGraph(csr=self._csr, fingerprint=self._fingerprint)
+        return PreparedGraph(self._gd, fingerprint=self._fingerprint)
 
     # ------------------------------------------------------------------
     # safety
@@ -285,12 +360,10 @@ class PreparedGraph:
             )
 
     def __repr__(self) -> str:
+        gd = "built" if self._gd is not None else "lazy"
         plus = "built" if self._gd_plus is not None else "lazy"
-        if self._gd is None:
-            shared = self._shared.name if self._shared is not None else "?"
-            return f"<PreparedGraph shared={shared} gd=lazy gd_plus={plus}>"
+        shared = f" shared={self._shared.name}" if self._shared else ""
         return (
-            f"<PreparedGraph n={self._gd.num_vertices} "
-            f"m={self._gd.num_edges} gd_plus={plus} "
-            f"csr_builds={self.csr_builds}>"
+            f"<PreparedGraph n={self.num_vertices} m={self.num_edges}"
+            f"{shared} gd={gd} gd_plus={plus} csr_builds={self.csr_builds}>"
         )

@@ -191,28 +191,6 @@ def _adjust_refcount(shm: "shared_memory.SharedMemory", delta: int) -> int:
             fcntl.flock(fd, fcntl.LOCK_UN)
 
 
-def _csr_from_arrays(
-    vertices: List[Any],
-    indptr: "np.ndarray",
-    indices: "np.ndarray",
-    data: "np.ndarray",
-) -> CSRAdjacency:
-    """Wrap raw CSR arrays into a :class:`CSRAdjacency` without copying.
-
-    The scipy constructor is bypassed (attribute assignment on an empty
-    matrix) because some versions re-validate or down-cast index arrays,
-    which would silently copy the shared views back into private memory.
-    """
-    from scipy import sparse as scipy_sparse
-
-    n = len(vertices)
-    matrix = scipy_sparse.csr_matrix((n, n), dtype=np.float64)
-    matrix.data = data
-    matrix.indices = indices
-    matrix.indptr = indptr
-    return CSRAdjacency(vertices, matrix)
-
-
 class SharedGraphSegment:
     """One mapped shared-memory segment holding a prepared graph.
 
@@ -263,7 +241,7 @@ class SharedGraphSegment:
     def csr(self) -> CSRAdjacency:
         """Read-only zero-copy ``GD`` adjacency over the segment."""
         if self._csr is None:
-            self._csr = _csr_from_arrays(
+            self._csr = CSRAdjacency(
                 self.vertices,
                 self._array("gd_indptr"),
                 self._array("gd_indices"),
@@ -274,7 +252,7 @@ class SharedGraphSegment:
     def csr_plus(self) -> CSRAdjacency:
         """Read-only zero-copy ``GD+`` adjacency over the segment."""
         if self._csr_plus is None:
-            self._csr_plus = _csr_from_arrays(
+            self._csr_plus = CSRAdjacency(
                 self.vertices,
                 self._array("plus_indptr"),
                 self._array("plus_indices"),
@@ -511,24 +489,20 @@ class SharedGraphStore:
 # prepared-graph integration
 # ----------------------------------------------------------------------
 class SharedPreparedGraph(PreparedGraph):
-    """A :class:`PreparedGraph` served from a shared segment.
+    """An array-first :class:`PreparedGraph` served from a shared segment.
 
     CSR artefacts are zero-copy views; the dict-of-dicts ``GD``/``GD+``
-    (needed only by the pure-python backend and the average-degree
-    baseline) are reconstructed lazily from the CSR arrays — the CSR
-    stores weights bit-exact, so the reconstruction fingerprints
-    identically to the original graph.
+    (read by the pure-python backend and the sparse solvers' dict
+    checks) are built lazily from the CSR arrays — the CSR stores
+    weights bit-exact, so they fingerprint identically to the original
+    graph.
     """
 
     __slots__ = ()
 
     def __init__(self, segment: SharedGraphSegment) -> None:
-        super().__init__(
-            gd=None,  # type: ignore[arg-type]  # materialised lazily
-            fingerprint=segment.fingerprint,
-        )
+        super().__init__(csr=segment.csr(), fingerprint=segment.fingerprint)
         self._shared = segment
-        self._csr = segment.csr()
         self._csr_plus = segment.csr_plus()
 
 
@@ -538,23 +512,22 @@ def shared_prepared(segment: SharedGraphSegment) -> SharedPreparedGraph:
 
 
 def graph_from_csr(csr: CSRAdjacency) -> Graph:
-    """Reconstruct the dict-of-dicts :class:`Graph` from a frozen CSR.
+    """Build the dict-of-dicts :class:`Graph` held by a CSR.
 
-    Inverse of :meth:`CSRAdjacency.from_graph` up to edge insertion
-    order; weights are bit-exact (float64 both sides), so the result
-    fingerprints identically to the graph that was frozen.
+    Inverse of :meth:`CSRAdjacency.from_graph` up to insertion order:
+    vertices and each vertex's neighbours follow the CSR's repr order.
+    One dict comprehension per row (:meth:`Graph.from_csr_rows`), no
+    ``add_edge`` calls; weights are bit-exact (float64 both sides), so
+    the result fingerprints identically to the arrays.  NumPy only: an
+    array-first :class:`PreparedGraph` builds its ``GD`` and ``GD+``
+    through this with or without SciPy.
     """
-    graph = Graph()
-    graph.add_vertices(csr.vertices)
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    vertices = csr.vertices
-    for i in range(len(vertices)):
-        u = vertices[i]
-        for position in range(int(indptr[i]), int(indptr[i + 1])):
-            j = int(indices[position])
-            if j > i:
-                graph.add_edge(u, vertices[j], float(data[position]))
-    return graph
+    return Graph.from_csr_rows(
+        csr.vertices,
+        csr.indptr.tolist(),
+        csr.indices.tolist(),
+        csr.data.tolist(),
+    )
 
 
 # ----------------------------------------------------------------------

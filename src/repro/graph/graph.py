@@ -27,6 +27,7 @@ from typing import (
     Iterator,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -65,6 +66,32 @@ class Graph:
             graph.add_vertex(vertex)
         for u, v, weight in edges:
             graph.add_edge(u, v, weight)
+        return graph
+
+    @classmethod
+    def from_csr_rows(
+        cls,
+        vertices: Sequence[Vertex],
+        indptr: Sequence[int],
+        indices: Sequence[int],
+        weights: Sequence[float],
+    ) -> "Graph":
+        """Adopt the rows of a symmetric CSR adjacency, one dict per row.
+
+        Row ``i`` of the CSR lists vertex ``vertices[i]``'s neighbours
+        (``indices[indptr[i]:indptr[i + 1]]``) and their weights.  The
+        input is trusted, as a frozen CSR guarantees: symmetric, no
+        diagonal, every weight finite and nonzero.  Vertices and each
+        vertex's neighbours keep the CSR's order.
+        """
+        labels = [vertices[j] for j in indices]
+        bounds = zip(indptr, indptr[1:])
+        graph = cls()
+        graph._adj = {
+            u: dict(zip(labels[start:end], weights[start:end]))
+            for u, (start, end) in zip(vertices, bounds)
+        }
+        graph._num_edges = len(labels) // 2
         return graph
 
     @classmethod

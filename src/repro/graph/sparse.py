@@ -7,26 +7,33 @@ three kernels — ``(Dx)`` products, per-coordinate gradient updates and
 degree bookkeeping — that a Compressed-Sparse-Row matrix executes as
 NumPy/SciPy vector operations instead of Python dict loops.
 
-:class:`CSRAdjacency` freezes a :class:`Graph` into that form **once**:
+:class:`CSRAdjacency` holds a graph in that form:
 
 * an explicit ``vertices`` list and ``index`` map (vertex <-> row id),
-  ordered by ``repr`` by default so every backend agrees on tie-breaks;
-* a symmetric ``scipy.sparse`` CSR matrix with a zero diagonal (the
-  affinity matrix ``D`` of the paper);
-* raw ``indptr``/``indices``/``data`` views for O(deg) row access.
+  ordered by ``repr`` so every backend agrees on tie-breaks;
+* raw ``indptr``/``indices``/``data`` arrays (the affinity matrix ``D``
+  of the paper: symmetric, zero diagonal, columns ascending per row);
+* a ``scipy.sparse`` CSR ``matrix`` wrapped around those same arrays.
 
-Embeddings cross the boundary through :meth:`embedding_vector` /
+One NumPy-only reader, :func:`graph_entries`, turns a dict graph into
+arrays.  :func:`csr_arrays` (and through it
+:meth:`CSRAdjacency.from_graph` and :func:`graph_fingerprint`) and the
+array-first difference assembly
+(:func:`repro.core.difference.assemble_difference`) all read through
+it.  Embeddings cross the boundary through :meth:`embedding_vector` /
 :meth:`embedding_dict`, so callers keep speaking ``{vertex: weight}``
 while the kernels speak dense ``ndarray``.
 
-SciPy is gated, not required: importing this module without SciPy
-succeeds, and only *using* the sparse backend raises
+SciPy is gated, not required: the arrays, :meth:`positive_part` and
+the fingerprint need NumPy only, ``matrix`` is None without SciPy, and
+only the sparse backend's entry point :meth:`from_graph` raises
 :class:`~repro.exceptions.BackendUnavailableError`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 try:  # pragma: no cover - exercised implicitly on import
@@ -55,6 +62,102 @@ def scipy_available() -> bool:
     return _scipy_sparse is not None
 
 
+def _index_dtype(n: int, nnz: int) -> "np.dtype":
+    """SciPy's choice of CSR index type: int32 while it can hold both."""
+    fits = max(n, nnz) <= np.iinfo(np.int32).max
+    return np.dtype(np.int32 if fits else np.int64)
+
+
+def graph_entries(
+    graph: Graph, index: Mapping[Vertex, int]
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Read a dict graph into ``(keys, weights)`` arrays over *index*.
+
+    Every stored entry (each undirected edge twice, once per endpoint)
+    becomes the key ``row * n + col``, with ``n = len(index)``; the
+    entries come back sorted by key, which is CSR's row-major order.
+    This is the one loop from the dict-of-dicts form to arrays: the
+    difference assembly reads G1 and G2 through it over their union's
+    rows, and :func:`csr_arrays` reads single graphs.  NumPy only.
+    """
+    n = len(index)
+    lookup = index.__getitem__
+    rows = list(map(graph.neighbors, graph))
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    size = int(lengths.sum())
+    keys = np.repeat(
+        np.fromiter(map(lookup, graph), dtype=np.int64, count=len(rows)) * n,
+        lengths,
+    )
+    keys += np.fromiter(
+        map(lookup, chain.from_iterable(rows)), dtype=np.int64, count=size
+    )
+    weights = np.fromiter(
+        chain.from_iterable(row.values() for row in rows),
+        dtype=np.float64,
+        count=size,
+    )
+    order = np.argsort(keys, kind="stable")
+    return keys[order], weights[order]
+
+
+def entries_to_csr(
+    n: int, keys: "np.ndarray", weights: "np.ndarray"
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(indptr, indices, data)`` of sorted, distinct ``row * n + col``
+    keys — the inverse of the key encoding of :func:`graph_entries`."""
+    dtype = _index_dtype(n, int(keys.size))
+    rows = keys // max(n, 1)
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, (keys - rows * n).astype(dtype, copy=False), weights
+
+
+def csr_arrays(
+    graph: Graph,
+) -> Tuple[List[Vertex], "np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(vertices, indptr, indices, data)`` of *graph*, rows in repr order.
+
+    The arrays :meth:`CSRAdjacency.from_graph` wraps and
+    :func:`graph_fingerprint` hashes; NumPy only.
+    """
+    vertices = sorted(graph.vertices(), key=repr)
+    index = {v: i for i, v in enumerate(vertices)}
+    return (vertices, *entries_to_csr(len(vertices), *graph_entries(graph, index)))
+
+
+def csr_fingerprint(
+    vertices: List[Vertex],
+    indptr: "np.ndarray",
+    indices: "np.ndarray",
+    data: "np.ndarray",
+) -> str:
+    """:func:`graph_fingerprint` of repr-ordered CSR arrays.
+
+    The digest reads the repr-sorted vertex names, then the upper
+    triangle in row-major order: with rows and columns in repr order,
+    that is every edge sorted by ``(repr u, repr v)``, so the arrays
+    hash exactly as the dict graph they hold.
+    """
+    names = [repr(v) for v in vertices]
+    digest = hashlib.sha256()
+    digest.update("".join(f"{name}\0" for name in names).encode("utf-8"))
+    digest.update(b"\x01")
+    rows = np.repeat(np.arange(len(names)), np.diff(indptr))
+    upper = indices > rows
+    digest.update(
+        "".join(
+            f"{names[i]}\0{names[j]}\0{weight.hex()}\0"
+            for i, j, weight in zip(
+                rows[upper].tolist(),
+                indices[upper].tolist(),
+                data[upper].tolist(),
+            )
+        ).encode("utf-8")
+    )
+    return digest.hexdigest()
+
+
 def graph_fingerprint(graph: Graph) -> str:
     """Content hash of a :class:`Graph` — the identity of a frozen input.
 
@@ -66,25 +169,13 @@ def graph_fingerprint(graph: Graph) -> str:
     ordering (the backend tie-break order) and no ``hash()`` (which is
     salted per process for strings).
 
-    Pure hashing over the dict-of-dicts form; SciPy is not required.
+    The digest covers the repr-sorted vertex names, then each edge as
+    ``(repr u, repr v, weight.hex())`` sorted by the endpoint names.
+    The graph is read once through :func:`csr_arrays` and hashed by
+    :func:`csr_fingerprint`, so a preparation that holds only the arrays
+    hashes to the same digest; NumPy only, SciPy is not required.
     """
-    digest = hashlib.sha256()
-    for vertex in sorted(map(repr, graph.vertices())):
-        digest.update(vertex.encode("utf-8"))
-        digest.update(b"\x00")
-    digest.update(b"\x01")
-    edges = sorted(
-        (min(repr(u), repr(v)), max(repr(u), repr(v)), weight)
-        for u, v, weight in graph.edges()
-    )
-    for u, v, weight in edges:
-        digest.update(u.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(v.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(float(weight).hex().encode("ascii"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    return csr_fingerprint(*csr_arrays(graph))
 
 
 def _require_scipy() -> None:
@@ -96,11 +187,13 @@ def _require_scipy() -> None:
 
 
 class CSRAdjacency:
-    """A frozen CSR view of a :class:`Graph` with explicit index maps.
+    """A frozen CSR form of a :class:`Graph` with explicit index maps.
 
-    Build once with :meth:`from_graph`, then share across every solver
-    stage of a pipeline run — construction is the only O(m) Python loop;
-    everything afterwards is vectorised.
+    Build once with :meth:`from_graph` (or wrap arrays that are already
+    CSR, as the difference assembly and the shared-memory store do),
+    then share across every solver stage of a pipeline run — reading
+    the dict graph is the only O(m) Python loop; everything afterwards
+    is vectorised.
     """
 
     __slots__ = (
@@ -114,14 +207,32 @@ class CSRAdjacency:
     )
 
     def __init__(
-        self, vertices: List[Vertex], matrix: "_scipy_sparse.csr_matrix"
+        self,
+        vertices: List[Vertex],
+        indptr: "np.ndarray",
+        indices: "np.ndarray",
+        data: "np.ndarray",
     ) -> None:
+        """Wrap CSR arrays whose rows and columns follow *vertices*.
+
+        The arrays are adopted, never copied: the ``matrix`` is built by
+        attribute assignment, because SciPy's constructor may re-validate
+        or down-cast the index arrays and so copy shared-memory views
+        into private memory.  The caller guarantees the CSR invariants
+        (sorted distinct columns, symmetric, zero diagonal).
+        """
         self.vertices = vertices
         self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
-        self.matrix = matrix
-        self.indptr = matrix.indptr
-        self.indices = matrix.indices
-        self.data = matrix.data
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.matrix: Optional["_scipy_sparse.csr_matrix"] = None
+        if _scipy_sparse is not None:
+            n = len(vertices)
+            self.matrix = _scipy_sparse.csr_matrix((n, n), dtype=np.float64)
+            self.matrix.data = data
+            self.matrix.indices = indices
+            self.matrix.indptr = indptr
         #: NewSEA's initialisation plan of this (``GD+``) adjacency, built
         #: on first request by
         #: :func:`repro.core.initialization.smart_initialization_plan`
@@ -132,37 +243,17 @@ class CSRAdjacency:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRAdjacency":
-        """Freeze *graph* into CSR form.
+        """Freeze *graph* into CSR form — the sparse backend's entry point.
 
         Row indices follow the vertices sorted by ``repr`` (the same
         deterministic order the dense
         :func:`~repro.graph.matrices.affinity_matrix` uses, and the
-        tie-break order of the python backend's initialisation plan).
+        tie-break order of the python backend's initialisation plan);
+        the arrays come from :func:`csr_arrays`, with SciPy's index
+        dtype and each row's columns ascending.
         """
         _require_scipy()
-        vertices = sorted(graph.vertices(), key=repr)
-        index = {v: i for i, v in enumerate(vertices)}
-        n = len(vertices)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for u, v, weight in graph.edges():
-            i, j = index[u], index[v]
-            rows.append(i)
-            cols.append(j)
-            vals.append(weight)
-            rows.append(j)
-            cols.append(i)
-            vals.append(weight)
-        matrix = _scipy_sparse.csr_matrix(
-            (
-                np.asarray(vals, dtype=np.float64),
-                (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)),
-            ),
-            shape=(n, n),
-        )
-        matrix.sort_indices()
-        return cls(vertices, matrix)
+        return cls(*csr_arrays(graph))
 
     @classmethod
     def for_graph(
@@ -215,22 +306,24 @@ class CSRAdjacency:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self.matrix.nnz) // 2
+        return int(self.data.size) // 2
 
     def __repr__(self) -> str:
         return f"<CSRAdjacency n={self.n} m={self.num_edges}>"
 
     def __reduce__(self):
-        """Pickle as ``(vertices, matrix)`` and rebuild through __init__.
+        """Pickle as the constructor's arrays and rebuild through __init__.
 
         Reducing to the constructor arguments keeps the payload minimal
-        (the ``index`` map and the memoised initialisation plan are
-        derived state the receiver rebuilds on demand) and guarantees
-        the raw ``indptr``/``indices``/``data`` views are re-bound to the
-        unpickled matrix.  An
-        adjacency over a shared-memory segment arrives as a private copy.
+        (the ``index`` map, the ``matrix`` wrapper and the memoised
+        initialisation plan are derived state the receiver rebuilds on
+        demand).  An adjacency over a shared-memory segment arrives as
+        a private copy.
         """
-        return (self.__class__, (self.vertices, self.matrix))
+        return (
+            self.__class__,
+            (self.vertices, self.indptr, self.indices, self.data),
+        )
 
     # ------------------------------------------------------------------
     # kernels
@@ -238,20 +331,6 @@ class CSRAdjacency:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``(Dx)`` — the gradient-defining product, at C speed."""
         return self.matrix @ x
-
-    def objective(self, x: np.ndarray) -> float:
-        """``f(x) = x^T D x``."""
-        return float(x @ (self.matrix @ x))
-
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(neighbor_indices, weights)`` views of row *i* (sorted)."""
-        start, end = self.indptr[i], self.indptr[i + 1]
-        return self.indices[start:end], self.data[start:end]
-
-    def row_dot(self, i: int, x: np.ndarray) -> float:
-        """``(Dx)_i`` for a single coordinate in O(deg i)."""
-        neighbors, weights = self.row(i)
-        return float(weights @ x[neighbors])
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every vertex (row sums; may be negative)."""
@@ -308,12 +387,22 @@ class CSRAdjacency:
         return lptr, owner, cols, self.data[entries], local
 
     def positive_part(self) -> "CSRAdjacency":
-        """``GD+`` in CSR form: keep strictly positive entries only."""
-        _require_scipy()
-        kept = self.matrix.multiply(self.matrix > 0).tocsr()
-        kept.eliminate_zeros()
-        kept.sort_indices()
-        return CSRAdjacency(list(self.vertices), kept)
+        """``GD+`` in CSR form: keep strictly positive entries only.
+
+        One mask over ``data``; row ``i`` of the result starts at the
+        count of kept entries before ``indptr[i]``.  The arrays equal
+        :meth:`from_graph` of the dict ``GD+`` bit for bit; NumPy only.
+        """
+        keep = self.data > 0
+        before = np.zeros(self.data.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
+        dtype = _index_dtype(self.n, int(before[-1]))
+        return CSRAdjacency(
+            list(self.vertices),
+            before[self.indptr].astype(dtype),
+            self.indices[keep].astype(dtype, copy=False),
+            self.data[keep],
+        )
 
     # ------------------------------------------------------------------
     # embedding conversions

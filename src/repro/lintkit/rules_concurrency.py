@@ -242,6 +242,7 @@ GUARDED_LOCK_ATTRS: Dict[str, Tuple[str, ...]] = {
 EXPENSIVE_CALLS = frozenset(
     {
         "PreparedGraph",
+        "from_pair",
         "build_named",
         "assemble_difference",
         "read_pair",

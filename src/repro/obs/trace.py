@@ -31,7 +31,7 @@ Design rules:
 Span-name convention (what :func:`phase_of` keys on)::
 
     solve                        the envelope root (self time = driver)
-    prepare.gd_plus / prepare.csr / prepare.fingerprint
+    prepare.gd / prepare.gd_plus / prepare.csr / prepare.fingerprint
                                  PreparedGraph build steps  -> "prepare"
     backend.<capability>         TracingBackend calls, one  -> "<capability>"
                                  per name in engine.registry.CAPABILITIES

@@ -656,8 +656,8 @@ class ServiceApp:
             {
                 "name": body["name"],
                 "fingerprint": prepared.fingerprint,
-                "vertices": prepared.gd.num_vertices,
-                "edges": prepared.gd.num_edges,
+                "vertices": prepared.num_vertices,
+                "edges": prepared.num_edges,
                 "warm_prepared": self.registry.warm_count,
             },
         )

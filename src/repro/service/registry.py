@@ -11,9 +11,10 @@ once-per-name cost:
   ``"DBLP/Weighted/Emerging"``), built at the registry's ``scale`` on
   first use.
 * **Uploaded pairs** — edge-list text for ``(G1, G2)`` registered under
-  a caller-chosen name via :meth:`register_pair`; the assembled
-  difference graph is retained, so an evicted preparation can be
-  rebuilt without re-uploading.
+  a caller-chosen name via :meth:`register_pair`; the pair is prepared
+  array-first (:meth:`PreparedGraph.from_pair`), and its unbuilt form
+  (``GD``'s CSR and fingerprint, no dict graph) is retained, so an
+  evicted preparation can be rebuilt without re-uploading.
 
 Warm preparations live in an LRU of ``capacity`` entries: each holds a
 fingerprinted :class:`~repro.engine.prepared.PreparedGraph` (``GD+`` +
@@ -29,10 +30,8 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
-from repro.core.difference import assemble_difference
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import InputMismatchError
-from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -87,8 +86,9 @@ class GraphRegistry:
         self.on_export = on_export
         #: name -> warm preparation, most recently used last
         self._warm: "OrderedDict[str, PreparedGraph]" = OrderedDict()
-        #: uploaded difference graphs by name (eviction-safe source)
-        self._uploads: Dict[str, Graph] = {}
+        #: uploads by name, unbuilt (eviction-safe source: GD's CSR
+        #: and fingerprint, no dict graph)
+        self._uploads: Dict[str, PreparedGraph] = {}
         #: name -> announced shared-segment name (attach lazily on use)
         self._shared_refs: Dict[str, str] = {}
         #: owner -> cells currently charged (stream sessions and other
@@ -121,8 +121,9 @@ class GraphRegistry:
         """Parse an uploaded ``(G1, G2)`` edge-list pair and warm it.
 
         The universes are aligned the way :func:`repro.graph.io.read_pair`
-        aligns file pairs, the difference graph is assembled with the
-        given transform, and the resulting preparation enters the warm
+        aligns file pairs, the difference graph's CSR is assembled with
+        the given transform (no dict graph is built until a python-backend
+        solve reads one), and the resulting preparation enters the warm
         cache under *name* (replacing any previous upload of that name).
         """
         if not name or any(ch.isspace() for ch in name):
@@ -142,10 +143,9 @@ class GraphRegistry:
             g2.add_vertex(vertex)
         for vertex in g2.vertices():
             g1.add_vertex(vertex)
-        gd = assemble_difference(
+        prepared = PreparedGraph.from_pair(
             g1, g2, alpha=alpha, flipped=flip, discrete=discrete, cap=cap
         )
-        prepared = PreparedGraph(gd)
         prepared.fingerprint  # noqa: B018 - eagerly pay the content hash
         with self._lock:
             if (
@@ -158,8 +158,11 @@ class GraphRegistry:
                 )
             # Admit under the lock *before* the export: a rejected
             # upload must never be announced cluster-wide or leak a
-            # shared-memory segment — the limit bounds both.
-            self._uploads[name] = gd
+            # shared-memory segment — the limit bounds both.  The kept
+            # source is taken before the export too, so it holds
+            # private arrays, never views on a segment an eviction may
+            # unlink.
+            self._uploads[name] = prepared.unbuilt()
         self._finish_cold_build(name, prepared)
         with self._lock:
             evicted = self._warm.pop(name, None)
@@ -260,7 +263,7 @@ class GraphRegistry:
             if attached is not None:
                 return attached
         if upload is not None:
-            prepared = PreparedGraph(upload)
+            prepared = upload.unbuilt()
         else:
             from repro.datasets.registry import build_named
 
@@ -434,13 +437,9 @@ def _prepared_cells(prepared: PreparedGraph) -> int:
     """Footprint proxy of one preparation: vertices + edges of ``GD``.
 
     Segment *attachers* charge zero — the exporting owner carries the
-    host's single copy.  Sizes come from the CSR when one is resident so
-    shared preparations are never forced to materialise the dict graph
-    just to be measured.
+    host's single copy.  The sizes are read from whichever form the
+    preparation holds, so measuring never builds a dict graph.
     """
     if prepared.shared_attached:
         return 0
-    csr = prepared.csr() if prepared.shm_segment is not None else None
-    if csr is not None:
-        return csr.n + csr.num_edges
-    return prepared.gd.num_vertices + prepared.gd.num_edges
+    return prepared.num_vertices + prepared.num_edges

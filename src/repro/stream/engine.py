@@ -267,6 +267,11 @@ class StreamingDCSEngine:
         self.universe: Set[Vertex] = set(universe)
         if not self.universe:
             raise ValueError("universe must not be empty")
+        #: the universe in repr order, sorted once: python NewSEA's
+        #: float sums follow the difference graph's vertex order, so
+        #: fixing it here makes every answer independent of the
+        #: container the universe arrived in
+        self._order = sorted(self.universe, key=repr)
         self.window = window
         self.measure = measure
         self.warmup = window if warmup is None else max(1, warmup)
@@ -288,7 +293,7 @@ class StreamingDCSEngine:
         self._ranked: Optional[List[SolveOutcome]] = None
 
         self._diff = Graph()
-        self._diff.add_vertices(self.universe)
+        self._diff.add_vertices(self._order)
 
     # ------------------------------------------------------------------
     # introspection
@@ -310,7 +315,7 @@ class StreamingDCSEngine:
 
     def state_graph(self) -> Graph:
         """Materialise the current persistent snapshot."""
-        return self._accumulator.state_graph(self.universe)
+        return self._accumulator.state_graph(self._order)
 
     def step_profiles(self) -> List[StepProfile]:
         """The retained recent per-step records, oldest first."""
@@ -482,10 +487,6 @@ def replay_events(
     feed is tested against; the finished engine carries the counters
     (``engine.stats``) and the last ranking (:meth:`current_topk`).
     """
-    # Hand the collection over unconverted: the engine's vertex order,
-    # and with it python NewSEA's float summation order, follows the
-    # collection it is given, so a session built from the same list
-    # replays to the same bits.
     members = log.universe if universe is None else universe
     engine = StreamingDCSEngine(members, **engine_params)
     alerts = engine.run(log.events, n_steps=n_steps)
@@ -524,7 +525,9 @@ def snapshot_recompute(
     warmup = max(1, warmup)
 
     state = Graph()
-    state.add_vertices(members)
+    # Repr order, as the incremental engine keeps it: the answers do
+    # not depend on the universe's container.
+    state.add_vertices(sorted(members, key=repr))
     history: Deque[Graph] = deque(maxlen=window)
     log = AlertLog()
 

@@ -20,6 +20,7 @@ from repro.batch import (
     read_queries,
 )
 from repro.core.difference import difference_graph
+from repro.engine.prepared import PreparedGraph
 from repro.exceptions import InputMismatchError
 from repro.graph.generators import random_signed_graph
 from repro.graph.graph import Graph
@@ -385,7 +386,12 @@ class TestBatchExecutor:
     def test_matches_direct_solver_calls(self, pair):
         from repro.core.dcsad import dcs_greedy
 
-        gd = difference_graph(*pair, require_same_vertices=False)
+        # The graph a batch pair query mines: from_pair's GD, whose
+        # dict form is in repr order (python DCSGreedy's density sums
+        # follow it, so a set-ordered dict graph can differ in the last
+        # bit).
+        gd = PreparedGraph.from_pair(*pair).gd
+        assert gd == difference_graph(*pair, require_same_vertices=False)
         direct = dcs_greedy(gd)
         (result,) = BatchExecutor().run(
             [BatchQuery(kind="dcsad", source=GraphSource.from_pair(*pair))]
@@ -694,15 +700,22 @@ class TestBatchExecutor:
         ]
         builds = []
         original = CSRAdjacency.from_graph
+        original_plus = CSRAdjacency.positive_part
 
         def counting(graph):
             builds.append(graph.num_vertices)
             return original(graph)
 
+        def counting_plus(adjacency):
+            builds.append(adjacency.n)
+            return original_plus(adjacency)
+
         monkeypatch.setattr(CSRAdjacency, "from_graph", counting)
+        monkeypatch.setattr(CSRAdjacency, "positive_part", counting_plus)
         results = BatchExecutor().run(queries)
         assert all(r.status == "ok" for r in results)
-        # One shared freeze serves all three sparse queries.
+        # One shared GD+ CSR serves all three sparse queries: a pair is
+        # assembled as GD's CSR, and GD+ is derived from it once.
         assert len(builds) == 1
 
     def test_registry_source_resolves(self):

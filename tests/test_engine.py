@@ -699,11 +699,16 @@ class TestEnvelopeAcrossBatchModes:
         assert [r.canonical_json() for r in pooled] == golden
         assert [r.canonical_json() for r in cached] == golden
 
-    def test_batch_payload_is_the_envelope_payload(self, pair, gd):
+    def test_batch_payload_is_the_envelope_payload(self, pair):
         (result,) = BatchExecutor().run(
             [BatchQuery(kind="dcsga", source=GraphSource.from_pair(*pair))]
         )
-        direct = solve(SolveRequest(measure="affinity"), PreparedGraph(gd))
+        # The batch prepares a pair as from_pair does (array-first, its
+        # dict GD in repr order), and python NewSEA's sums follow that
+        # order, so the direct envelope takes the same preparation.
+        direct = solve(
+            SolveRequest(measure="affinity"), PreparedGraph.from_pair(*pair)
+        )
         assert result.payload == direct.payload()
 
 

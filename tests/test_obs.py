@@ -30,7 +30,6 @@ import pytest
 
 from repro.batch.executor import BatchExecutor
 from repro.batch.queries import query_from_dict
-from repro.core.difference import assemble_difference
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
 from repro.engine.registry import (
@@ -63,7 +62,7 @@ def _difference_graph(n: int = 24, seed: int = 3) -> Graph:
         g2.add_vertex(v)
     for v in g2.vertices():
         g1.add_vertex(v)
-    return assemble_difference(g1, g2)
+    return PreparedGraph.from_pair(g1, g2).gd
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,12 @@ import time
 
 import pytest
 
-from repro.core.difference import assemble_difference
+from repro.core.difference import difference_graph
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
 from repro.exceptions import InputMismatchError
 from repro.graph.generators import random_signed_graph
+from repro.graph.graph import Graph
 from repro.graph.io import write_edge_list
 from repro.service import GraphRegistry, LatencyWindow, ServiceApp
 
@@ -108,8 +109,48 @@ class TestGraphRegistry:
             "flipped", g1_text, g2_text, flip=True
         )
         assert plain.fingerprint != flipped.fingerprint
-        expected = PreparedGraph(assemble_difference(g1, g2)).fingerprint
+        expected = PreparedGraph.from_pair(g1, g2).fingerprint
         assert plain.fingerprint == expected
+
+    def test_uploads_build_no_dict_graph_until_a_python_solve(
+        self, pair_texts, monkeypatch
+    ):
+        builds = []
+        original = Graph.from_csr_rows.__func__
+
+        def counting(cls, vertices, *rows):
+            builds.append(len(vertices))
+            return original(cls, vertices, *rows)
+
+        monkeypatch.setattr(Graph, "from_csr_rows", classmethod(counting))
+        registry = GraphRegistry(capacity=1, scale=0.0)
+        app = ServiceApp(scale=0.0, registry=registry)
+        g1_text, g2_text, g1, g2 = pair_texts
+        status, body = app.request(
+            "POST", "/v1/graphs", {"name": "up", "g1": g1_text, "g2": g2_text}
+        )
+        assert status == 200
+        reference = difference_graph(g1, g2)
+        assert body["vertices"] == reference.num_vertices
+        assert body["edges"] == reference.num_edges
+        assert builds == []
+        # Evict the upload, then re-resolve it from its kept source.
+        registry.resolve("DM/-/Emerging")
+        assert registry.warm_names() == ["DM/-/Emerging"]
+        prepared = registry.resolve("up")
+        assert registry.warm_names() == ["up"]
+        assert registry.warm_cells() == (
+            reference.num_vertices + reference.num_edges
+        )
+        assert builds == []
+        assert "gd=lazy gd_plus=lazy" in repr(prepared)
+        status, body = app.request(
+            "POST", "/v1/solve",
+            {"graph": "up", "kind": "dcsga", "backend": "python"},
+        )
+        assert status == 200 and body["status"] == "ok"
+        assert builds  # the python backend read GD+
+        assert prepared.gd_plus == reference.positive_part()
 
     def test_forget(self, pair_texts):
         registry = GraphRegistry(scale=0.0)
@@ -184,7 +225,7 @@ class TestSolveRoute:
                 "POST", "/v1/solve", {"graph": "uploaded", "kind": kind}
             )
             assert status == 200 and body["status"] == "ok"
-            prepared = PreparedGraph(assemble_difference(g1, g2))
+            prepared = PreparedGraph.from_pair(g1, g2)
             prepared.fingerprint
             expected = solve(SolveRequest(measure=measure), prepared)
             strip = lambda r: {

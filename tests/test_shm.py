@@ -13,7 +13,6 @@ import pickle
 
 import pytest
 
-from repro.core.difference import assemble_difference
 from repro.engine import PreparedGraph, SolveRequest, solve
 from repro.engine.shm import (
     SharedGraphStore,
@@ -51,7 +50,7 @@ def _prepared(seed: int = 7, n: int = 24) -> PreparedGraph:
         g2.add_vertex(v)
     for v in g2.vertices():
         g1.add_vertex(v)
-    return PreparedGraph(assemble_difference(g1, g2))
+    return PreparedGraph.from_pair(g1, g2)
 
 
 def _answers(prepared: PreparedGraph, backend: str = "sparse"):

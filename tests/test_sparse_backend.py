@@ -67,7 +67,8 @@ class TestCSRAdjacency:
         rng = np.random.default_rng(0)
         x = rng.random(len(order))
         assert np.allclose(adj.matvec(x), dense @ x)
-        assert adj.objective(x) == pytest.approx(float(x @ dense @ x))
+        # x^T D x through the CSR, the objective the solvers maximise
+        assert float(x @ (adj.matrix @ x)) == pytest.approx(float(x @ dense @ x))
 
     def test_degrees_match_graph(self):
         gd = _random_gd(3)
@@ -284,7 +285,8 @@ def _numpy_peel_oracle(
         vertex = pop_min()
         alive[vertex] = False
         order_idx.append(vertex)
-        neighbors, weights = adj.row(vertex)
+        start, end = adj.indptr[vertex], adj.indptr[vertex + 1]
+        neighbors, weights = adj.indices[start:end], adj.data[start:end]
         live = alive[neighbors]
         touched = neighbors[live]
         removed = weights[live]
@@ -374,15 +376,13 @@ def _max_live_at_removal(graph: Graph, order: List) -> int:
 def _read_only_csr(graph: Graph) -> CSRAdjacency:
     """The CSR of *graph* over frozen array copies, as a shared-memory
     attach (:mod:`repro.engine.shm`) hands it to a worker."""
-    from repro.engine.shm import _csr_from_arrays
-
     adj = CSRAdjacency.from_graph(graph)
     arrays = []
     for array in (adj.indptr, adj.indices, adj.data):
         frozen = array.copy()
         frozen.flags.writeable = False
         arrays.append(frozen)
-    return _csr_from_arrays(adj.vertices, *arrays)
+    return CSRAdjacency(adj.vertices, *arrays)
 
 
 class TestSparsePeelBitExact:

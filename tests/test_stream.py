@@ -8,6 +8,7 @@ asymptotically less work per step.
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -339,6 +340,49 @@ def _adversarial_log():
         {"s1", "s2", "s3"} | set(cluster_a) | set(cluster_b) | set(cluster_c)
     )
     return events, universe, 20
+
+
+class TestUniverseContainer:
+    """An alert log is a function of the universe's members, not of the
+    container they arrive in: python NewSEA's float sums follow the
+    difference graph's vertex order, which both the engine and the
+    snapshot baseline take from repr order."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("measure", ["average_degree", "affinity"])
+    def test_set_list_and_reversed_list_log_the_same_bytes(
+        self, backend, measure
+    ):
+        stream = burst_event_stream(n_vertices=80, n_steps=24, seed=5)
+        # An event file's vertex set, as `repro stream` passes it: its
+        # iteration order follows how read_events grew it.
+        buffer = io.StringIO()
+        write_events(stream.log, buffer)
+        buffer.seek(0)
+        containers = [
+            list(stream.universe),
+            read_events(buffer).universe,
+            set(stream.universe),
+            list(reversed(stream.universe)),
+        ]
+        params = dict(
+            window=4, measure=measure, backend=backend, min_score=1e-6
+        )
+        engine_logs = [
+            StreamingDCSEngine(universe, **params)
+            .run(stream.log.events, n_steps=stream.n_steps)
+            .json_lines()
+            for universe in containers
+        ]
+        naive_logs = [
+            snapshot_recompute(
+                stream.log.events, universe, n_steps=stream.n_steps, **params
+            ).json_lines()
+            for universe in containers
+        ]
+        assert engine_logs[0]  # the burst is flagged
+        assert engine_logs == [engine_logs[0]] * len(containers)
+        assert naive_logs == [naive_logs[0]] * len(containers)
 
 
 class TestGatedAdversarialParity:

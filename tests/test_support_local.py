@@ -85,7 +85,9 @@ class TestNoFullWidthWork:
         def refuse(*args, **kwargs):
             raise AssertionError("n-wide work in a DCSGA solve")
 
-        for name in ("matvec", "objective", "embedding_dict"):
+        # The adjacency's objective() (x^T D x over all n) moved to this
+        # file's oracle helpers, so no solver can reach it any more.
+        for name in ("matvec", "embedding_dict"):
             monkeypatch.setattr(CSRAdjacency, name, refuse)
 
     @pytest.mark.parametrize("backend", _backends(), ids=["sparse", "native"])
@@ -177,8 +179,8 @@ class TestStartOrder:
 
         graph = random_signed_graph(30, 0.3, seed=2).positive_part()
         adj = CSRAdjacency.from_graph(graph)
-        top = max(range(adj.n), key=lambda i: (len(adj.row(i)[0]), i))
-        rows = sorted([top, *adj.row(top)[0][:3].tolist()], reverse=True)
+        top = max(range(adj.n), key=lambda i: (len(_row(adj, i)[0]), i))
+        rows = sorted([top, *_row(adj, top)[0][:3].tolist()], reverse=True)
         assert rows[0] > rows[-1] and adj.matrix[rows[0], rows[-1]] > 0.0
         weights = [0.4, 0.3, 0.2, 0.1]
         descending = {adj.vertices[i]: w for i, w in zip(rows, weights)}
@@ -197,8 +199,26 @@ class TestStartOrder:
 # the n-wide core the support-local one replaced, kept verbatim as the
 # oracle of TestFullWidthOracle; only the default of each cd= argument
 # changed, to an adapter of today's kernel to the seam it was written
-# against
+# against.  The three adjacency members it read and nothing in the
+# library calls any more live on as the helpers below.
 # ----------------------------------------------------------------------
+def _objective(adj: CSRAdjacency, x: np.ndarray) -> float:
+    """``f(x) = x^T D x``."""
+    return float(x @ (adj.matrix @ x))
+
+
+def _row(adj: CSRAdjacency, i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(neighbor_indices, weights)`` views of row *i* (sorted)."""
+    start, end = adj.indptr[i], adj.indptr[i + 1]
+    return adj.indices[start:end], adj.data[start:end]
+
+
+def _row_dot(adj: CSRAdjacency, i: int, x: np.ndarray) -> float:
+    """``(Dx)_i`` for a single coordinate in O(deg i)."""
+    neighbors, weights = _row(adj, i)
+    return float(weights @ x[neighbors])
+
+
 def _full_width_cd(
     adj: CSRAdjacency,
     x: np.ndarray,
@@ -240,7 +260,7 @@ def expansion_step_csr(
         # non-frontier vertices explicitly (|D| restricted to support).
         frontier = np.zeros(adj.n, dtype=bool)
         for s in np.flatnonzero(x > 0.0):
-            neighbors, _ = adj.row(int(s))
+            neighbors, _ = _row(adj, int(s))
             frontier[neighbors] = True
         candidates &= frontier
     z = np.flatnonzero(candidates)
@@ -343,7 +363,7 @@ def _find_non_adjacent_pair_vec(
         rest = by_degree[position + 1 :]
         if rest.size == 0:
             break
-        neighbors, _ = adj.row(int(u))
+        neighbors, _ = _row(adj, int(u))
         is_neighbor[neighbors] = True
         missing = rest[~is_neighbor[rest]]
         is_neighbor[neighbors] = False
@@ -359,7 +379,7 @@ def _refine_vec(
     max_cd_iterations: int,
     cd: CoordinateDescentFn = _full_width_cd,
 ) -> Tuple[np.ndarray, float, int, float]:
-    initial_objective = adj.objective(x)
+    initial_objective = _objective(adj, x)
     merges = 0
     while True:
         support = np.flatnonzero(x > 0.0)
@@ -367,7 +387,7 @@ def _refine_vec(
         if pair is None:
             break
         u, v = pair
-        if adj.row_dot(u, x) < adj.row_dot(v, x):
+        if _row_dot(adj, u, x) < _row_dot(adj, v, x):
             u, v = v, u
         x[u] += x[v]
         x[v] = 0.0
@@ -381,7 +401,7 @@ def _refine_vec(
             need_dx=False,
         )
         merges += 1
-    return x, adj.objective(x), merges, initial_objective
+    return x, _objective(adj, x), merges, initial_objective
 
 
 def _solve_one_vec(
