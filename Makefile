@@ -131,7 +131,7 @@ obs-smoke:
 ## server tours run under serve-smoke, session-smoke, scale-smoke and
 ## obs-smoke, and custom_backend.py under docs-check).
 EXAMPLES := quickstart anomaly_detection batch_queries emerging_communities \
-	streaming_events streaming_monitor trend_detection
+	streaming_events trend_detection
 
 examples-smoke:
 	@set -e; for name in $(EXAMPLES); do \

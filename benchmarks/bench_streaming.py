@@ -10,8 +10,8 @@ Three measurements on a planted-burst event workload sweep:
 1. **Speedup**: the incremental engine (answer-faithful solve
    scheduling: reuse the last answer on a clean step, solve the active
    subgraph on a dirty one) against :func:`snapshot_recompute` (the
-   ContrastMonitor loop: materialise the snapshot, rebuild the window
-   mean, rebuild the difference graph, full solve — every step).
+   naive loop: materialise the snapshot, rebuild the window mean,
+   rebuild the difference graph, full solve — every step).
    Gated at >= 3x at the largest event count, with identical alert sets
    and per-step scores.
 2. **Backend parity**: the sparse engine agrees with the python engine.

@@ -121,10 +121,6 @@ class CountingBackend(SolverBackend):
         self.counts["replicator"] += 1
         return self._inner.replicator(graph, x0, **kwargs)
 
-    def mean_graph(self, graphs):
-        self.counts["mean_graph"] += 1
-        return self._inner.mean_graph(graphs)
-
 
 def main() -> None:
     backend = CountingBackend()

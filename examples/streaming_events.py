@@ -1,12 +1,15 @@
 """Serve DCS anomaly alerts over a live event stream, incrementally.
 
-The event-native upgrade of ``streaming_monitor.py``: instead of
-handing the monitor a full snapshot per step, the network emits sparse
-``EdgeEvent`` observations and the incremental engine maintains the
-expectation window, the difference graph, and the DCS answer by deltas.
-The script runs the engine and the naive per-step snapshot recompute on
-the same planted-burst workload, checks they raise identical alerts,
-and reports the speedup and the engine's internal work counters.
+The paper's Section I anomaly use case as a loop over time: the
+expectation is the mean of the last few observations, and each new one
+is contrasted against it.  The network emits sparse ``EdgeEvent``
+observations and the incremental engine maintains the expectation
+window, the difference graph, and the DCS answer by deltas (a stream of
+whole snapshots reaches the same engine through
+``repro.stream.events_between``).  The script runs the engine and the
+naive per-step snapshot recompute on the same planted-burst workload,
+checks they raise identical alerts, and reports the speedup and the
+engine's internal work counters.
 
 Run with::
 

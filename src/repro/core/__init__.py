@@ -25,7 +25,6 @@ from repro.core.dcsad import (
     greedy_on_gd_only,
     greedy_on_gd_plus_only,
 )
-from repro.core.monitor import ContrastAlert, ContrastMonitor, mean_graph
 from repro.core.difference import (
     DBLP_DISCRETE,
     DifferenceStats,
@@ -36,6 +35,7 @@ from repro.core.difference import (
     difference_stats,
     discrete_difference_graph,
     flip,
+    mean_graph,
     positive_part,
     scale_free_quantizer,
 )
@@ -89,6 +89,7 @@ __all__ = [
     "DBLP_DISCRETE",
     "DifferenceStats",
     "difference_stats",
+    "mean_graph",
     # embeddings
     "validate_simplex",
     # DCSAD
@@ -125,10 +126,6 @@ __all__ = [
     "KKTReport",
     "check_kkt",
     "is_kkt_point",
-    # temporal monitoring
-    "ContrastMonitor",
-    "ContrastAlert",
-    "mean_graph",
     # top-k extension
     "RankedDCS",
     "coverage",

@@ -15,6 +15,9 @@ This module also implements the paper's input transformations:
   weights above a cap.
 * **Sign flip** (Emerging <-> Disappearing GD types): mining
   ``G1 - G2`` instead of ``G2 - G1`` is just negating ``D``.
+* **Expectation graphs** (Section I): :func:`mean_graph` averages a
+  window of snapshots into the ``G1`` a new observation is contrasted
+  against.
 
 Two implementations of one pipeline live here:
 
@@ -34,7 +37,7 @@ Two implementations of one pipeline live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +89,26 @@ def difference_graph(
 def positive_part(gd: Graph) -> Graph:
     """``GD+``: the subgraph of strictly positive difference edges."""
     return gd.positive_part()
+
+
+def mean_graph(graphs: Iterable[Graph]) -> Graph:
+    """Edge-wise mean of several graphs over the union vertex set.
+
+    The natural "expectation" graph of a history window: an edge's weight
+    is its average weight across the window (absent = 0).  The naive
+    window mean of :func:`repro.stream.engine.snapshot_recompute`.
+    """
+    items = list(graphs)
+    if not items:
+        raise ValueError("cannot average zero graphs")
+    result = Graph()
+    for graph in items:
+        result.add_vertices(graph.vertices())
+    scale = 1.0 / len(items)
+    for graph in items:
+        for u, v, weight in graph.edges():
+            result.increment_edge(u, v, weight * scale)
+    return result
 
 
 def assemble_difference(

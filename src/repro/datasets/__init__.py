@@ -11,9 +11,7 @@ exercises (see DESIGN.md section 3 for the substitution rationale):
 * :mod:`~repro.datasets.synthetic_douban` — Douban social + ratings;
 * :mod:`~repro.datasets.synthetic_actor` — Actor collaborations;
 * :mod:`~repro.datasets.registry` — the 16 Table II rows by name;
-* :mod:`~repro.datasets.temporal` — snapshot streams with planted
-  contrast bursts (for :class:`~repro.core.monitor.ContrastMonitor`);
-* :mod:`~repro.datasets.streaming` — the event-native burst workloads
+* :mod:`~repro.datasets.streaming` — planted-burst event workloads
   (for :class:`~repro.stream.engine.StreamingDCSEngine`).
 """
 
@@ -39,7 +37,6 @@ from repro.datasets.synthetic_text import (
 )
 from repro.datasets.streaming import EventStream, burst_event_stream
 from repro.datasets.synthetic_wiki import WikiDataset, wiki_interactions
-from repro.datasets.temporal import TemporalStream, snapshot_stream
 
 __all__ = [
     "BUILDERS",
@@ -60,8 +57,6 @@ __all__ = [
     "keyword_corpus",
     "WikiDataset",
     "wiki_interactions",
-    "TemporalStream",
-    "snapshot_stream",
     "EventStream",
     "burst_event_stream",
 ]

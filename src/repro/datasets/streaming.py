@@ -1,12 +1,13 @@
 """Planted-burst *event* workloads for the streaming DCS engine.
 
-The event-native sibling of :mod:`repro.datasets.temporal`: instead of
-re-materialising every snapshot, the generator emits the
-:class:`~repro.stream.events.EdgeEvent` stream a live network would —
-a full observation of the base topology at step 0, sparse noisy
-re-observations afterwards (most of the network is *quiet* most of the
-time), and a planted cluster whose pairwise strengths surge during a
-chosen interval and return to baseline afterwards.
+The "emerging traffic hotspot" scenario of the paper's introduction,
+as a live network would report it: instead of re-materialising every
+snapshot, the generator emits the
+:class:`~repro.stream.events.EdgeEvent` stream — a full observation of
+the base topology at step 0, sparse noisy re-observations afterwards
+(most of the network is *quiet* most of the time), and a planted
+cluster whose pairwise strengths surge during a chosen interval and
+return to baseline afterwards.
 
 That sparsity is the point: per step only a small fraction of edges
 carries an event, so the incremental engine's per-step work is tiny
@@ -47,8 +48,9 @@ class EventStream:
         """Replay the events into per-step snapshot graphs (O(steps * m)).
 
         The materialised equivalent of the stream — what a snapshot
-        consumer (:class:`repro.core.monitor.ContrastMonitor`) would
-        see.  Used by parity tests; the engine never needs this.
+        consumer would see (:func:`~repro.stream.events.events_between`
+        turns it back into events).  Used by parity tests; the engine
+        never needs this.
         """
         state = Graph()
         state.add_vertices(self.universe)

@@ -1,7 +1,7 @@
 """repro.engine — the unified solver engine seam.
 
 Three pieces, consumed by every delivery layer (CLI, batch service,
-streaming engine, monitor):
+streaming engine):
 
 * the **backend registry** (:mod:`repro.engine.registry`): solvers
   dispatch through :func:`resolve_backend` capability lookups instead

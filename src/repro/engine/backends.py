@@ -30,7 +30,7 @@ implement).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.engine.registry import SolverBackend, register_backend
 
@@ -127,11 +127,6 @@ class PythonBackend(SolverBackend):
         from repro.affinity.replicator import _replicator_python
 
         return _replicator_python(graph, x0, rule, tol, max_iterations)
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        from repro.core.monitor import _mean_graph_python
-
-        return _mean_graph_python(graphs)
 
 
 class SegmentTreeBackend(SolverBackend):
@@ -271,11 +266,6 @@ class SparseBackend(SolverBackend):
         return self.kernels().replicator(
             graph, x0, rule=rule, tol=tol, max_iterations=max_iterations
         )
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        from repro.core.monitor import _mean_graph_sparse
-
-        return _mean_graph_sparse(graphs)
 
 
 class NativeBackend(SparseBackend):

@@ -2,9 +2,9 @@
 
 Every delivery layer used to shape its own answers: the CLI printed
 from ``DCSADResult``/``DCSGAResult`` attributes, the batch executor
-hand-rolled JSON dicts per query kind, the streaming engine had its
-``SolveOutcome`` and the monitor its ``ContrastAlert`` — four shapes
-for the same two solvers.  This module is the common envelope:
+hand-rolled JSON dicts per query kind, and the streaming engine had
+its ``SolveOutcome`` — three shapes for the same two solvers.  This
+module is the common envelope:
 
 * :class:`SolveRequest` — *what to solve*: the measure
   (``average_degree`` → DCSGreedy / Algorithm 2, ``affinity`` → NewSEA

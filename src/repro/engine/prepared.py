@@ -44,10 +44,10 @@ come from the arrays with or without SciPy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
 
 from repro.exceptions import InputMismatchError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.engine.shm import SharedGraphSegment
@@ -174,6 +174,14 @@ class PreparedGraph:
             return self._csr.n
         assert self._gd is not None
         return self._gd.num_vertices
+
+    def vertices(self) -> Iterator[Vertex]:
+        """Iterate over ``GD``'s vertices without building any artefact:
+        a held CSR's repr order, else the dict graph's order."""
+        if self._csr is not None:
+            return iter(self._csr.vertices)
+        assert self._gd is not None
+        return self._gd.vertices()
 
     @property
     def num_edges(self) -> int:

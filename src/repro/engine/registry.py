@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports (no cycles at runtime)
 from typing import Literal
 
 #: The solver-backend vocabulary shared by every layer that solves
-#: (monitor, stream, batch, CLI).  Peeling additionally accepts the
+#: (stream, batch, CLI).  Peeling additionally accepts the
 #: priority-structure names of :data:`PeelBackend`.
 Backend = Literal["python", "sparse"]
 #: Peeling accepts the two pure-Python priority structures by name.
@@ -70,7 +70,7 @@ BackendLike = Union[str, "SolverBackend"]
 #: :class:`SolverBackend` that solver entry points dispatch to.
 CAPABILITIES = (
     "peel", "seacd", "refine", "vertex_solver",
-    "initialization_plan", "replicator", "mean_graph",
+    "initialization_plan", "replicator",
 )
 
 
@@ -202,10 +202,6 @@ class SolverBackend:
     ) -> "ReplicatorResult":
         """Replicator dynamics (the original SEA's shrink stage)."""
         raise BackendCapabilityError(self.name, "replicator")
-
-    def mean_graph(self, graphs: List["Graph"]) -> "Graph":
-        """Edge-wise mean over the union vertex set (monitor windows)."""
-        raise BackendCapabilityError(self.name, "mean_graph")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

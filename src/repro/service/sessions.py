@@ -267,9 +267,7 @@ class SessionManager:
         if graph is not None:
             # May build cold — deliberately outside the manager lock.
             prepared = self.registry.resolve(graph)
-            members: List[Any] = sorted(
-                prepared.gd.vertices(), key=repr
-            )
+            members: List[Any] = list(prepared.vertices())
         else:
             members = [str(v) for v in universe]  # type: ignore[union-attr]
         engine = StreamingDCSEngine(members, **engine_kwargs)

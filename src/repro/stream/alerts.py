@@ -1,10 +1,9 @@
 """Alert pipeline: typed alerts, a collecting log, JSON serialisation.
 
-The engine's output contract mirrors the batch
-:class:`~repro.core.monitor.ContrastAlert`, extended with streaming
-provenance: which path produced the answer (a full solve or the cached
-previous solve) so operators and benchmarks can see the incremental
-machinery working.
+An alert is one closed step's flagged subgraph and its contrast
+score, plus streaming provenance: which path produced the answer (a
+full solve or the cached previous solve) so operators and benchmarks
+can see the incremental machinery working.
 """
 
 from __future__ import annotations

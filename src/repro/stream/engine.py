@@ -30,9 +30,10 @@ scores equal up to float summation order:
 
 :func:`snapshot_recompute` is the naive reference: materialise every
 step's snapshot, rebuild the window mean and the difference graph from
-scratch, full solve every step — exactly what
-:class:`repro.core.monitor.ContrastMonitor` does today.  The benchmark
-gates the engine's speedup against it *with identical alert sets*.
+scratch, full solve every step.  The stream and session gates hold the
+engine's alerts to it, and the benchmark gates the engine's speedup
+against it *with identical alert sets*.  A stream of whole snapshots
+reaches the engine through :func:`~repro.stream.events.events_between`.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.difference import difference_graph
-from repro.core.monitor import mean_graph
+from repro.core.difference import difference_graph, mean_graph
 from repro.core.topk import RankedDCS
 from repro.engine.envelope import SolveRequest, solve
 from repro.engine.prepared import PreparedGraph
@@ -313,10 +313,6 @@ class StreamingDCSEngine:
         """The underlying window accumulator (for tests/diagnostics)."""
         return self._accumulator
 
-    def state_graph(self) -> Graph:
-        """Materialise the current persistent snapshot."""
-        return self._accumulator.state_graph(self._order)
-
     def step_profiles(self) -> List[StepProfile]:
         """The retained recent per-step records, oldest first."""
         return list(self._step_profiles)
@@ -507,13 +503,14 @@ def snapshot_recompute(
     min_score: float = 0.0,
     tol_scale: float = 1e-2,
 ) -> AlertLog:
-    """Per-step snapshot recompute — the ContrastMonitor loop over events.
+    """Per-step snapshot recompute — the naive windowed-contrast loop.
 
     Every step materialises the full snapshot, rebuilds the window mean
-    with :func:`~repro.core.monitor.mean_graph`, rebuilds the difference
-    graph with :func:`~repro.core.difference.difference_graph`, and runs
-    the full solver.  ``O(window * m)`` per step regardless of how few
-    edges changed — the baseline the incremental engine is gated
+    with :func:`~repro.core.difference.mean_graph`, rebuilds the
+    difference graph with
+    :func:`~repro.core.difference.difference_graph`, and runs the full
+    solver on *backend*.  ``O(window * m)`` per step regardless of how
+    few edges changed — the baseline the incremental engine is gated
     against (same :func:`solve_difference`, so alert parity is a
     property of the *maintenance*, which is the claim under test).
     """
@@ -546,7 +543,7 @@ def snapshot_recompute(
         for event in grouped.get(step, ()):
             state.add_edge(event.u, event.v, event.w)
         if history and step >= warmup:
-            expected = mean_graph(history, backend=backend)
+            expected = mean_graph(history)
             diff = difference_graph(expected, state)
             diff = diff.map_weights(
                 lambda w: 0.0 if abs(w) <= PRUNE_EPS else w

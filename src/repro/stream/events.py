@@ -24,9 +24,8 @@ The module also provides the event-file format used by ``repro stream``
     carol              <- bare token: declare an isolated vertex
 
 and :func:`events_between`, which diffs two snapshots into the event
-batch that transforms one into the other — the bridge from the
-snapshot-stream world of :mod:`repro.datasets.temporal` into the event
-world (and the basis of the monitor-parity tests).
+batch that transforms one into the other — how a stream of whole
+snapshots reaches the engine.
 """
 
 from __future__ import annotations
@@ -155,8 +154,9 @@ def events_between(
 
     Emits one event per pair whose weight differs (including weight-0
     events for edges that vanished).  Feeding a snapshot stream through
-    this converter reproduces the snapshot semantics of
-    :class:`repro.core.monitor.ContrastMonitor` event-by-event.
+    this converter gives the engine the event log whose per-step
+    persistent state is that snapshot stream; each window mean is then
+    the mean of the previous snapshots.
     """
     batch: List[EdgeEvent] = []
     for u, v, weight in current.edges():

@@ -1,8 +1,8 @@
 """Sliding-window accumulator: per-edge window sums under event deltas.
 
-The batch monitor rebuilds ``mean(history)`` and ``D = A2 - A1`` from
-scratch every step — ``O(window * m)`` work even when nothing changed.
-This module maintains the same quantities *incrementally*:
+A snapshot recompute rebuilds ``mean(history)`` and ``D = A2 - A1``
+from scratch every step — ``O(window * m)`` work even when nothing
+changed.  This module maintains the same quantities *incrementally*:
 
 * The **persistent state** ``A2``: each edge keeps its last observed
   strength (events override it, ``0`` deletes).
@@ -28,9 +28,9 @@ its maintained difference graph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.graph.graph import Graph, Vertex
+from repro.graph.graph import Vertex
 
 EdgeKey = Tuple[Vertex, Vertex]
 
@@ -52,10 +52,10 @@ class SlidingWindowAccumulator:
     The window at the close of step ``t`` covers steps
     ``[t - L, t)`` with ``L = min(window, t)`` — the same "mean of the
     last ``window`` snapshots, fewer during warmup" convention as
-    :class:`repro.core.monitor.ContrastMonitor`.
+    :func:`repro.stream.engine.snapshot_recompute`.
     """
 
-    __slots__ = ("window", "_state", "_history", "_steps", "_last_sums", "_last_length")
+    __slots__ = ("window", "_state", "_history", "_steps")
 
     def __init__(self, window: int) -> None:
         if window < 1:
@@ -68,8 +68,6 @@ class SlidingWindowAccumulator:
         #: equals the current state.
         self._history: Dict[EdgeKey, List[Tuple[int, float]]] = {}
         self._steps = 0
-        self._last_sums: Dict[EdgeKey, float] = {}
-        self._last_length = 0
 
     # ------------------------------------------------------------------
     # properties
@@ -87,14 +85,6 @@ class SlidingWindowAccumulator:
     def state_weight(self, key: EdgeKey) -> float:
         """Current persistent strength of *key* (0 = no edge)."""
         return self._state.get(key, 0.0)
-
-    def state_graph(self, vertices: Iterable[Vertex]) -> Graph:
-        """Materialise the current snapshot over *vertices* (O(m))."""
-        graph = Graph()
-        graph.add_vertices(vertices)
-        for (u, v), weight in self._state.items():
-            graph.add_edge(u, v, weight)
-        return graph
 
     # ------------------------------------------------------------------
     # ingestion (open step)
@@ -145,7 +135,6 @@ class SlidingWindowAccumulator:
         length = min(self.window, t)
         window_start = t - length
         deltas: Dict[EdgeKey, float] = {}
-        sums: Dict[EdgeKey, float] = {}
         retired: List[EdgeKey] = []
         for key, history in self._history.items():
             # Expire segments that end at or before the window start.
@@ -168,32 +157,8 @@ class SlidingWindowAccumulator:
                 overlap = min(end, t) - max(start, window_start)
                 if overlap > 0:
                     total += value * overlap
-            sums[key] = total
             deltas[key] = self._state.get(key, 0.0) - total / length
         for key in retired:
             del self._history[key]
-        self._last_sums = sums
-        self._last_length = length
         self._steps = t + 1
         return deltas
-
-    # ------------------------------------------------------------------
-    # inspection (parity tests, naive cross-checks)
-    # ------------------------------------------------------------------
-    def window_sum(self, key: EdgeKey) -> float:
-        """Window sum of *key* as of the last :meth:`close_step`.
-
-        Stable edges report ``length * state`` — algebraically what the
-        segments would sum to (the incremental path never computes it).
-        """
-        if key in self._last_sums:
-            return self._last_sums[key]
-        return self._last_length * self._state.get(key, 0.0)
-
-    def expectation_weight(self, key: EdgeKey) -> float:
-        """Window-mean strength of *key* as of the last close."""
-        if self._last_length == 0:
-            return 0.0
-        if key in self._last_sums:
-            return self._last_sums[key] / self._last_length
-        return self._state.get(key, 0.0)

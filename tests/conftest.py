@@ -98,3 +98,33 @@ def brute_force_densest(graph: Graph):
             if density > best_density:
                 best, best_density = set(subset), density
     return best, best_density
+
+
+@pytest.fixture(scope="module")
+def workload():
+    """The planted-burst event stream the engine tests share: 5 planted
+    members surge at steps 9–11 of 18 over 60 vertices."""
+    from repro.datasets.streaming import burst_event_stream
+
+    return burst_event_stream(
+        n_vertices=60,
+        n_steps=18,
+        anomaly_size=5,
+        anomaly_start=9,
+        anomaly_duration=3,
+        seed=7,
+    )
+
+
+def snapshot_events(snapshots):
+    """The event log of a snapshot stream: step ``t``'s events turn
+    snapshot ``t - 1`` (an empty graph before step 0) into snapshot
+    ``t``."""
+    from repro.stream import events_between
+
+    previous = Graph()
+    events = []
+    for t, snapshot in enumerate(snapshots):
+        events.extend(events_between(previous, snapshot, t))
+        previous = snapshot
+    return events

@@ -144,19 +144,16 @@ class TestRegistry:
         assert tree.has_capability("peel")
         assert not tree.has_capability("vertex_solver")
         python.require_capabilities(
-            "peel", "initialization_plan", "vertex_solver", "mean_graph"
+            "peel", "initialization_plan", "vertex_solver"
         )
         with pytest.raises(BackendCapabilityError):
             tree.require_capabilities("peel", "vertex_solver")
 
     def test_long_lived_consumers_fail_fast_on_incapable_backends(self):
-        # Monitor and streaming engine must reject a solver-incapable
-        # backend at construction, not steps into a stream.
-        from repro.core.monitor import ContrastMonitor
+        # The streaming engine must reject a solver-incapable backend at
+        # construction, not steps into a stream.
         from repro.stream.engine import StreamingDCSEngine
 
-        with pytest.raises(BackendCapabilityError):
-            ContrastMonitor(window=2, backend="segment_tree")
         with pytest.raises(BackendCapabilityError):
             StreamingDCSEngine(["a", "b"], measure="affinity",
                                backend="segment_tree")
@@ -277,10 +274,6 @@ class TestCustomBackendPlugsInEverywhere:
                 calls.append("vertex_solver")
                 return get_backend("python").vertex_solver(gd_plus, **kwargs)
 
-            def mean_graph(self, graphs):
-                calls.append("mean_graph")
-                return get_backend("python").mean_graph(graphs)
-
         register_backend(Counting())
         try:
             # core solvers
@@ -296,11 +289,6 @@ class TestCustomBackendPlugsInEverywhere:
                 PreparedGraph(gd),
             )
             assert report.provenance["backend"] == "test-counting"
-            # the monitor layer
-            from repro.core.monitor import mean_graph
-
-            mean_graph([gd], backend="test-counting")
-            assert calls.count("mean_graph") == 1
             assert calls.count("initialization_plan") == 1
             assert calls.count("vertex_solver") == 1
             assert calls.count("peel") >= 2

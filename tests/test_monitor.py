@@ -1,19 +1,36 @@
-"""Tests for temporal contrast monitoring and its workload generator."""
+"""Tests for the Section I anomaly-monitoring loop on the streaming engine.
+
+The expectation is the mean of a window of recent observations, and
+each new one is contrasted against it.  :class:`StreamingDCSEngine` runs
+that loop; a stream of whole snapshots reaches it through
+``events_between`` (:func:`tests.conftest.snapshot_events`).  Also here:
+the python window mean of the naive reference, and the exact DCSAD on
+positive graphs.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.dcsad import dcs_exact_positive
-from repro.core.monitor import ContrastAlert, ContrastMonitor, mean_graph
-from repro.datasets.temporal import snapshot_stream
-from repro.exceptions import InputMismatchError
+from repro.core.difference import mean_graph
+from repro.exceptions import VertexNotFound
 from repro.graph.graph import Graph
 from repro.graph.sparse import scipy_available
+from repro.stream import EdgeEvent, StreamAlert, StreamingDCSEngine, events_between
+from tests.conftest import snapshot_events
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires SciPy"
 )
+
+
+def monitor(snapshots, **params):
+    """An engine run over *snapshots*: ``(engine, alerts)``."""
+    universe = set().union(*(s.vertex_set() for s in snapshots))
+    engine = StreamingDCSEngine(universe, **params)
+    alerts = engine.run(snapshot_events(snapshots), n_steps=len(snapshots))
+    return engine, alerts
 
 
 class TestMeanGraph:
@@ -32,116 +49,76 @@ class TestMeanGraph:
         with pytest.raises(ValueError):
             mean_graph([])
 
-    def test_unknown_backend_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            mean_graph([triangle], backend="vibes")
-
-    @needs_scipy
-    def test_sparse_backend_matches_python(self):
-        graphs = [
-            Graph.from_edges([("a", "b", 1.0), ("b", "c", 0.5)], vertices="d"),
-            Graph.from_edges([("b", "a", 3.0), ("c", "d", 2.0)]),
-            Graph.from_edges([("a", "c", -1.0)], vertices="bd"),
-        ]
-        python = mean_graph(graphs)
-        sparse = mean_graph(graphs, backend="sparse")
-        assert python.vertex_set() == sparse.vertex_set()
-        seen = {(u, v) for u, v, _ in python.edges()}
-        seen |= {(u, v) for u, v, _ in sparse.edges()}
-        for u, v in seen:
-            assert sparse.weight(u, v) == pytest.approx(python.weight(u, v))
-
-    @needs_scipy
-    def test_sparse_backend_merges_edge_directions(self):
-        # The same undirected edge can be iterated as (a, b) in one
-        # snapshot and (b, a) in another; the COO accumulation must
-        # still land both on one entry.
-        g1 = Graph.from_edges([("a", "b", 2.0)])
-        g2 = Graph()
-        g2.add_vertex("b")
-        g2.add_edge("b", "a", 4.0)
-        assert mean_graph([g1, g2], backend="sparse").weight(
-            "a", "b"
-        ) == pytest.approx(3.0)
-
 
 class TestMonitorValidation:
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            ContrastMonitor(window=0)
+            StreamingDCSEngine(["a", "b"], window=0)
 
     def test_bad_measure(self):
         with pytest.raises(ValueError):
-            ContrastMonitor(measure="vibes")
+            StreamingDCSEngine(["a", "b"], measure="vibes")
 
     def test_vertex_set_must_stay_fixed(self, triangle):
-        monitor = ContrastMonitor(window=2)
-        monitor.observe(triangle)
+        """The universe is fixed at construction: a snapshot with an
+        edge on another vertex is refused."""
+        engine = StreamingDCSEngine(triangle.vertices(), window=2)
         other = Graph.from_edges([("x", "y", 1.0)])
-        with pytest.raises(InputMismatchError):
-            monitor.observe(other)
+        with pytest.raises(VertexNotFound):
+            for event in events_between(triangle, other, t=1):
+                engine.ingest(event)
 
     def test_no_alert_during_warmup(self, triangle):
-        monitor = ContrastMonitor(window=3)
-        assert monitor.observe(triangle) is None
-        assert monitor.observe(triangle) is None
-        assert monitor.observe(triangle) is None
-        # Warmed up from step `window` onward.
-        assert monitor.observe(triangle) is not None
+        engine, _ = monitor([triangle] * 4, window=3)
+        # Answered from step `window` onward, never before.
+        assert [p.step for p in engine.step_profiles()] == [3]
 
 
 class TestMonitorDetection:
-    @pytest.fixture(scope="class")
-    def stream(self):
-        return snapshot_stream(
-            n_vertices=80,
-            n_steps=10,
-            anomaly_size=5,
-            anomaly_start=6,
-            anomaly_duration=2,
-            seed=3,
-        )
+    """The planted burst of the shared `workload` (members surge at
+    steps 9–11), fed as snapshots with window 4."""
 
-    def test_ground_truth_metadata(self, stream):
-        assert stream.length == 10
-        assert len(stream.anomaly_members) == 5
-        assert stream.is_anomalous_step(6)
-        assert stream.is_anomalous_step(7)
-        assert not stream.is_anomalous_step(5)
-        assert not stream.is_anomalous_step(8)
+    def test_ground_truth_metadata(self, workload):
+        assert workload.n_steps == 18
+        assert len(workload.anomaly_members) == 5
+        assert workload.is_anomalous_step(9)
+        assert workload.is_anomalous_step(11)
+        assert not workload.is_anomalous_step(8)
+        assert not workload.is_anomalous_step(12)
 
-    def test_average_degree_monitor_flags_anomaly(self, stream):
-        monitor = ContrastMonitor(window=4, measure="average_degree")
-        alerts = monitor.run(stream.snapshots)
+    def test_average_degree_monitor_flags_anomaly(self, workload):
+        _, alerts = monitor(workload.snapshots(), window=4, min_score=1e-6)
         by_step = {alert.step: alert for alert in alerts}
         quiet = [
             alert.score
             for alert in alerts
-            if not stream.is_anomalous_step(alert.step)
+            if not workload.is_anomalous_step(alert.step)
         ]
-        hot = [by_step[6].score, by_step[7].score]
+        hot = [by_step[step].score for step in (9, 10, 11)]
         # The anomaly steps score far above every quiet step.
         assert min(hot) > 2 * max(quiet)
         # And the flagged subset is (essentially) the planted cluster.
-        flagged = by_step[6].subset
-        assert len(flagged & stream.anomaly_members) >= 4
+        flagged = by_step[9].subset
+        assert len(flagged & workload.anomaly_members) >= 4
 
-    def test_affinity_monitor_flags_clique(self, stream):
-        monitor = ContrastMonitor(window=4, measure="affinity")
-        alerts = monitor.run(stream.snapshots)
+    def test_affinity_monitor_flags_clique(self, workload):
+        _, alerts = monitor(
+            workload.snapshots(), window=4, measure="affinity", min_score=1e-6
+        )
         by_step = {alert.step: alert for alert in alerts}
-        hot = by_step[6]
-        assert hot.subset <= stream.anomaly_members
         quiet_scores = [
             alert.score
             for alert in alerts
-            if not stream.is_anomalous_step(alert.step)
+            if not workload.is_anomalous_step(alert.step)
         ]
-        assert hot.score > 2 * max(quiet_scores)
+        for step in (9, 10, 11):
+            hot = by_step[step]
+            assert hot.subset <= workload.anomaly_members
+            assert hot.score > 2 * max(quiet_scores)
 
     def test_alert_threshold_helper(self):
-        alert = ContrastAlert(
-            step=0, subset={"a"}, score=1.5, measure="affinity"
+        alert = StreamAlert(
+            step=0, subset=frozenset({"a"}), score=1.5, measure="affinity"
         )
         assert alert.exceeds(1.0)
         assert not alert.exceeds(2.0)
@@ -150,39 +127,35 @@ class TestMonitorDetection:
 class TestMonitorEdgeCases:
     def test_empty_history_never_contrasted(self, triangle):
         """Step 0 has no expectation; even warmup=0 clamps to 1."""
-        monitor = ContrastMonitor(window=3, warmup=0)
-        assert monitor.warmup == 1
-        assert monitor.observe(triangle) is None
+        engine, _ = monitor([triangle, triangle], window=3, warmup=0)
+        assert engine.warmup == 1
+        assert [p.step for p in engine.step_profiles()] == [1]
 
     def test_window_one_contrasts_against_previous_snapshot(self):
-        monitor = ContrastMonitor(window=1, warmup=1)
         g1 = Graph.from_edges([("a", "b", 1.0)], vertices="c")
         g2 = Graph.from_edges([("a", "b", 5.0), ("b", "c", 2.0)])
-        assert monitor.observe(g1) is None
-        alert = monitor.observe(g2)
-        # Expectation is exactly g1: contrast = GD of (g1, g2).
-        assert alert is not None
-        assert alert.score == pytest.approx(
-            (2 * 4.0 + 2 * 2.0) / 3
-        )  # triangle {a,b,c} in the difference graph
+        _, alerts = monitor([g1, g2], window=1, warmup=1)
+        # Expectation is exactly g1: GD has a-b 4.0 and b-c 2.0, whose
+        # densest subgraphs ({a, b} and {a, b, c}) both score 4.0.
+        assert [alert.step for alert in alerts] == [1]
+        assert alerts[0].score == pytest.approx(4.0)
 
     def test_vertex_churn_rejected_then_recoverable(self, triangle):
-        """A churned snapshot is rejected without corrupting the stream."""
-        monitor = ContrastMonitor(window=2, warmup=1)
-        monitor.observe(triangle)
-        grown = triangle.copy()
-        grown.add_vertex("newcomer")
-        with pytest.raises(InputMismatchError):
-            monitor.observe(grown)
-        shrunk = Graph.from_edges([("a", "b", 1.0)])
-        with pytest.raises(InputMismatchError):
-            monitor.observe(shrunk)
-        # The failed observations consumed no steps and kept no state.
-        assert monitor.step == 1
-        alert = monitor.observe(triangle)
-        assert alert is not None and alert.score == pytest.approx(0.0)
+        """An event on a vertex outside the universe is rejected without
+        corrupting the stream."""
+        engine = StreamingDCSEngine(triangle.vertices(), window=2, warmup=1)
+        for event in events_between(Graph(), triangle, t=0):
+            engine.ingest(event)
+        with pytest.raises(VertexNotFound):
+            engine.ingest(EdgeEvent(t=1, u="a", v="newcomer", w=1.0))
+        # The failed observation consumed no step and kept no state.
+        assert engine.step == 0
+        assert engine.stats.events == 3
+        assert engine.advance_to(2) == []
+        assert [p.step for p in engine.step_profiles()] == [1]
+        assert engine.difference.num_edges == 0
 
-    def test_scores_decay_within_planted_burst(self):
+    def test_scores_decay_within_planted_burst(self, workload):
         """Alert scores are strictly decreasing across a burst.
 
         As the sliding window absorbs burst snapshots the expectation
@@ -190,57 +163,41 @@ class TestMonitorEdgeCases:
         monotonically while the burst persists — the property operators
         rely on when thresholding "new" vs "ongoing" anomalies.
         """
-        stream = snapshot_stream(
-            n_vertices=70,
-            n_steps=12,
-            anomaly_size=5,
-            anomaly_start=6,
-            anomaly_duration=4,
-            seed=11,
-        )
-        monitor = ContrastMonitor(window=5, measure="average_degree")
-        by_step = {a.step: a for a in monitor.run(stream.snapshots)}
-        burst_scores = [
-            by_step[step].score for step in range(6, 10)
-        ]
-        assert all(
-            earlier > later
-            for earlier, later in zip(burst_scores, burst_scores[1:])
-        )
-        quiet = [
-            a.score
-            for a in by_step.values()
-            if not stream.is_anomalous_step(a.step)
-        ]
-        assert min(burst_scores) > 2 * max(quiet)
+        for measure in ("average_degree", "affinity"):
+            _, alerts = monitor(
+                workload.snapshots(), window=4, measure=measure, min_score=1e-6
+            )
+            by_step = {a.step: a for a in alerts}
+            burst_scores = [by_step[step].score for step in (9, 10, 11)]
+            assert all(
+                earlier > later
+                for earlier, later in zip(burst_scores, burst_scores[1:])
+            ), measure
+            quiet = [
+                a.score
+                for a in alerts
+                if not workload.is_anomalous_step(a.step)
+            ]
+            assert min(burst_scores) > 2 * max(quiet), measure
 
 
 class TestMonitorBackends:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            ContrastMonitor(backend="vibes")
+            StreamingDCSEngine(["a", "b"], backend="vibes")
 
     @needs_scipy
     @pytest.mark.parametrize("measure", ["average_degree", "affinity"])
-    def test_sparse_backend_agrees_with_python(self, measure):
-        stream = snapshot_stream(
-            n_vertices=50,
-            n_steps=8,
-            anomaly_size=4,
-            anomaly_start=5,
-            anomaly_duration=2,
-            seed=2,
-        )
-        python = ContrastMonitor(window=3, measure=measure).run(stream.snapshots)
-        sparse = ContrastMonitor(
-            window=3, measure=measure, backend="sparse"
-        ).run(stream.snapshots)
+    def test_sparse_backend_agrees_with_python(self, workload, measure):
+        snapshots = workload.snapshots()
+        params = dict(window=4, measure=measure, min_score=1e-6)
+        _, python = monitor(snapshots, **params)
+        _, sparse = monitor(snapshots, backend="sparse", **params)
         assert len(python) == len(sparse)
         for a, b in zip(python, sparse):
             assert a.step == b.step
             assert a.score == pytest.approx(b.score)
-            if a.score > 1e-6:
-                assert a.subset == b.subset
+            assert a.subset == b.subset
 
 
 class TestExactPositiveDCSAD:

@@ -167,6 +167,10 @@ class TestSameContentSameBytes:
         g1 = Graph.from_edges([("b", "a", 1.0), ("c", "b", 2.0)])
         g2 = Graph.from_edges([("c", "a", 3.0), ("b", "a", 4.0)], ["d"])
         prepared = PreparedGraph.from_pair(g1, g2)
+        # The names are read from the CSR, before any dict graph exists.
+        assert list(prepared.vertices()) == ["a", "b", "c", "d"]
+        assert "gd=lazy" in repr(prepared)
+        assert list(PreparedGraph(g2).vertices()) == list(g2.vertices())
         assert list(prepared.gd.vertices()) == ["a", "b", "c", "d"]
         assert list(prepared.gd.neighbors("b")) == ["a", "c"]
         assert list(prepared.gd_plus.neighbors("a")) == ["b", "c"]

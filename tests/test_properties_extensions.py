@@ -58,18 +58,24 @@ class TestMonitorProperties:
     @settings(**SETTINGS)
     def test_stationary_stream_scores_zero(self, graph, window):
         """Observing the identical snapshot repeatedly: the difference
-        graph is empty, so the contrast must be exactly 0."""
-        from repro.core.monitor import ContrastMonitor
+        graph is empty, so the contrast must be exactly 0 (no alert,
+        even with a negative floor)."""
+        from repro.stream import StreamingDCSEngine
+        from tests.conftest import snapshot_events
 
-        monitor = ContrastMonitor(window=window, measure="average_degree")
-        alerts = monitor.run([graph] * (window + 3))
-        assert alerts
-        assert all(alert.score == pytest.approx(0.0) for alert in alerts)
+        engine = StreamingDCSEngine(
+            graph.vertices(), window=window, min_score=-1.0
+        )
+        steps = window + 3
+        alerts = engine.run(snapshot_events([graph] * steps), n_steps=steps)
+        assert len(engine.step_profiles()) == 3
+        assert engine.difference.num_edges == 0
+        assert not alerts
 
     @given(positive_graphs(max_n=8))
     @settings(**SETTINGS)
     def test_mean_graph_idempotent(self, graph):
-        from repro.core.monitor import mean_graph
+        from repro.core.difference import mean_graph
 
         assert mean_graph([graph]) == graph
 

@@ -144,6 +144,13 @@ class TestGraphRegistry:
         )
         assert builds == []
         assert "gd=lazy gd_plus=lazy" in repr(prepared)
+        # A stream session over the upload reads the CSR's vertex names.
+        status, body = app.request(
+            "POST", "/v1/stream/sessions", {"graph": "up"}
+        )
+        assert status == 200
+        assert body["config"]["universe_size"] == reference.num_vertices
+        assert builds == []
         status, body = app.request(
             "POST", "/v1/solve",
             {"graph": "up", "kind": "dcsga", "backend": "python"},

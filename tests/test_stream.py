@@ -13,8 +13,7 @@ import json
 
 import pytest
 
-from repro.core.difference import difference_graph
-from repro.core.monitor import ContrastMonitor, mean_graph
+from repro.core.difference import difference_graph, mean_graph
 from repro.datasets.streaming import burst_event_stream
 from repro.exceptions import InputMismatchError, VertexNotFound
 from repro.graph.graph import Graph
@@ -35,6 +34,7 @@ from repro.stream import (
     solve_difference,
     write_events,
 )
+from tests.conftest import snapshot_events
 
 needs_scipy = pytest.mark.skipif(
     not scipy_available(), reason="sparse backend requires SciPy"
@@ -154,9 +154,10 @@ class TestAccumulator:
         acc.observe(("a", "b"), 2.0)
         acc.close_step()
         acc.observe(("a", "b"), 0.0)
-        acc.close_step()  # state 0, window mean 2 -> diff -2
+        deltas = acc.close_step()  # state 0, window mean 2 -> diff -2
         assert acc.state_weight(("a", "b")) == 0.0
-        assert acc.expectation_weight(("a", "b")) == pytest.approx(2.0)
+        expectation = acc.state_weight(("a", "b")) - deltas[("a", "b")]
+        assert expectation == pytest.approx(2.0)
 
     def test_same_step_override_collapses(self):
         acc = SlidingWindowAccumulator(window=2)
@@ -179,35 +180,26 @@ class TestAccumulator:
         for step in range(stream.n_steps):
             for event in grouped.get(step, ()):
                 acc.observe(event.key, event.w)
-            acc.close_step()
+            deltas = acc.close_step()
             window = snapshots[max(0, step - 3) : step]
             if not window:
                 continue
-            # Every pair seen anywhere must agree with the naive sum.
+            # Every pair seen anywhere must agree with the naive mean:
+            # the expectation is the state minus the reported difference
+            # (a stable edge reports none, its mean being its state).
             naive = mean_graph(window)
             for u, v, weight in naive.edges():
                 key = edge_key(u, v)
-                assert acc.window_sum(key) / len(window) == pytest.approx(
+                expectation = acc.state_weight(key) - deltas.get(key, 0.0)
+                assert expectation == pytest.approx(
                     weight
                 ), f"step {step} edge {key}"
-                assert acc.expectation_weight(key) == pytest.approx(weight)
 
 
 # ----------------------------------------------------------------------
-# engine parity against naive recompute and the batch monitor
+# engine parity against naive recompute and snapshot input
+# (the `workload` fixture lives in conftest.py)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def workload():
-    return burst_event_stream(
-        n_vertices=60,
-        n_steps=18,
-        anomaly_size=5,
-        anomaly_start=9,
-        anomaly_duration=3,
-        seed=7,
-    )
-
-
 class TestEngineParity:
     def _run(self, workload, backend, **kwargs):
         engine = StreamingDCSEngine(
@@ -265,18 +257,27 @@ class TestEngineParity:
         for a, b in zip(py, sp):
             assert a.score == pytest.approx(b.score)
 
-    def test_matches_contrast_monitor(self, workload):
-        """The engine is the event-native ContrastMonitor."""
-        monitor = ContrastMonitor(window=4, measure="average_degree")
-        monitor_alerts = monitor.run(workload.snapshots())
-        _, engine_alerts = self._run(workload, "python")
-        by_step = {a.step: a for a in engine_alerts}
-        for alert in monitor_alerts:
-            if alert.score < 1e-6:
-                continue  # engine suppresses empty/zero answers
-            mine = by_step[alert.step]
-            assert mine.score == pytest.approx(alert.score)
-            assert mine.subset == frozenset(alert.subset)
+    def test_snapshot_round_trip_matches_event_log(self, workload):
+        """A snapshot stream reaches the engine through events_between:
+        the workload's snapshots, turned back into events, log the same
+        alert bytes as the original event log."""
+        events = snapshot_events(workload.snapshots())
+        for backend in BACKENDS:
+            for measure in ("average_degree", "affinity"):
+                logs = [
+                    StreamingDCSEngine(
+                        workload.universe,
+                        window=4,
+                        min_score=1e-6,
+                        backend=backend,
+                        measure=measure,
+                    )
+                    .run(log, n_steps=workload.n_steps)
+                    .json_lines()
+                    for log in (events, workload.log.events)
+                ]
+                assert logs[0], (backend, measure)
+                assert logs[0] == logs[1], (backend, measure)
 
     def test_burst_is_detected(self, workload):
         _, alerts = self._run(workload, "python")
@@ -468,7 +469,7 @@ class TestEngineBehaviour:
         )
         assert engine.step == 3
         assert all(a.step < 3 for a in alerts)
-        assert engine.state_graph().weight("b", "c") == 0.0
+        assert engine.accumulator.state_weight(edge_key("b", "c")) == 0.0
 
     def test_alert_json_round_trips(self):
         alert = StreamAlert(
@@ -586,7 +587,7 @@ class TestRetirementFloatResidue:
         # not float residue near zero.
         assert retired_delta == 0.0
         assert acc.active_edges == 0
-        assert acc.expectation_weight(key) == final
+        assert acc.state_weight(key) - retired_delta == final
         # Re-insert (same awkward scale), burst again, re-stabilise:
         # the second retirement must be exact too.
         acc.observe(key, final * 2)

@@ -180,8 +180,7 @@ class TestCoverage:
 # ----------------------------------------------------------------------
 # the streaming engine's k answers
 # ----------------------------------------------------------------------
-from repro.core.monitor import mean_graph  # noqa: E402
-from repro.core.difference import difference_graph  # noqa: E402
+from repro.core.difference import difference_graph, mean_graph  # noqa: E402
 from repro.stream import (  # noqa: E402
     SOURCE_SOLVE,
     StreamingDCSEngine,
